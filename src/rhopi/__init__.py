@@ -106,4 +106,33 @@ from .rhoterm import (
     subst_syn,
 )
 
+from . import piterm as _piterm
+from . import rhoreduce as _rhoreduce
+from . import rhoterm as _rhoterm
+
 __version__ = "0.1.0"
+
+# memo tables derived from interned terms, by the function that fills them;
+# the intern tables themselves are not listed (see clear_caches)
+_DERIVED_CACHES = {
+    "rhoterm.canon_proc": _rhoterm._CANON_PROC,
+    "rhoterm.canon_name": _rhoterm._CANON_NAME,
+    "rhoterm.free_names": _rhoterm._FREE,
+    "rhoterm.quote_depth": _rhoterm._QDEPTH,
+    "rhoreduce.continuation": _rhoreduce._CONTINUATION,
+    "piterm.pi_canon": _piterm._PI_CANON,
+}
+
+
+def cache_stats() -> dict:
+    """Number of entries in each derived memo table, by table."""
+    return {name: len(table) for name, table in _DERIVED_CACHES.items()}
+
+
+def clear_caches() -> None:
+    """Empty the derived memo tables; every result is recomputed on demand.
+
+    The intern tables are kept: equality of terms is object identity, so a
+    structure must keep mapping to the node already handed out."""
+    for table in _DERIVED_CACHES.values():
+        table.clear()

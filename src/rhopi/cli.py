@@ -496,6 +496,15 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
+def _error(args, message: str, code: int) -> int:
+    """Report an error on stderr (and as a JSON object on stdout in JSON
+    mode, so that the output always parses); returns the exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    if getattr(args, "json", False):
+        print(json.dumps({"error": message}))
+    return code
+
+
 def _report_out(args, rep: Report) -> int:
     if getattr(args, "json", False):
         print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -526,7 +535,7 @@ def _cmd_nameq(args) -> int:
     a = parse_rho_name(args.a)
     b = parse_rho_name(args.b)
     same = name_eq(a, b)
-    print("true" if same else "false")
+    _emit(args, {"equal": same}, ["true" if same else "false"])
     return 0 if same else 1
 
 
@@ -534,7 +543,7 @@ def _cmd_structeq(args) -> int:
     text_a, _ = _read_term_arg(args.a, "rho")
     text_b, _ = _read_term_arg(args.b, "rho")
     same = parse_rho(text_a) is parse_rho(text_b)
-    print("true" if same else "false")
+    _emit(args, {"equal": same}, ["true" if same else "false"])
     return 0 if same else 1
 
 
@@ -547,7 +556,7 @@ def _cmd_qdepth(args) -> int:
             d = quote_depth_proc(parse_rho(text))
         except ParseError:
             d = quote_depth(parse_rho_name(text))
-    print(d)
+    _emit(args, {"depth": d}, [str(d)])
     return 0
 
 
@@ -604,8 +613,7 @@ def _cmd_encode(args) -> int:
         else:
             enc = encode_mr(source)
     except EncodingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(args, str(exc), 1)
     render = show_name if args.raw else _alias_renderer(_encoding_aliases(enc))
     shower = show_proc if args.raw else (lambda p: _show_aliased(p, render))
     lines = [shower(enc.translation)]
@@ -634,8 +642,7 @@ def _cmd_bisim(args) -> int:
     text_a, calc_a = _read_term_arg(args.a, args.calculus)
     text_b, calc_b = _read_term_arg(args.b, args.calculus)
     if calc_a != calc_b:
-        print("error: cannot compare terms from different calculi", file=sys.stderr)
-        return 2
+        return _error(args, "cannot compare terms from different calculi", 2)
     restrict = None
     if args.restrict:
         parts = _split_restrict(args.restrict)
@@ -655,13 +662,29 @@ def _cmd_bisim(args) -> int:
         "weak": rep.weak,
         "states": list(rep.states),
         "truncated": rep.truncated,
-        "witness": rep.witness,
+        "witness": _render_witness(rep.witness, calc_a),
     }
     lines = [rep.verdict.value]
     if rep.witness:
-        lines.append(f"witness: {rep.witness}")
+        lines.append(f"witness: {payload['witness']}")
     _emit(args, payload, lines)
     return 0 if rep.verdict is BisimVerdict.BISIMILAR else 1
+
+
+def _render_witness(witness: Optional[dict], calc: str) -> Optional[dict]:
+    """A bisimulation witness in surface syntax: barbs as "direction name",
+    states as printed terms."""
+    if witness is None:
+        return None
+    show_state = show_pi if calc == "pi" else show_proc
+    show_subject = str if calc == "pi" else show_name
+    out = dict(witness)
+    if "only" in witness:
+        side, found = witness["only"]
+        out["only"] = [side, [f"{d} {show_subject(x)}" for d, x in found]]
+    if "to_state" in witness:
+        out["to_state"] = show_state(witness["to_state"])
+    return out
 
 
 def _cmd_diverge(args) -> int:
@@ -695,8 +718,7 @@ def _cmd_repro(args) -> int:
         else:
             rep = repro_separation_witness()
     except BoundsTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(args, str(exc), 1)
     return _report_out(args, rep)
 
 
@@ -731,16 +753,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nameq", help="name equivalence of two names")
     sp.add_argument("a")
     sp.add_argument("b")
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_nameq)
 
     sp = sub.add_parser("structeq", help="structural congruence of two processes")
     sp.add_argument("a")
     sp.add_argument("b")
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_structeq)
 
     sp = sub.add_parser("qdepth", help="quote depth of a name or process")
     sp.add_argument("term")
     sp.add_argument("--name", action="store_true", help="force name parse")
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_qdepth)
 
     sp = sub.add_parser("reduce", help="run a bounded reduction sequence")
@@ -805,15 +830,10 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, FileNotFoundError) as exc:
+        return _error(args, str(exc), 2)
     except EncodingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(args, str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -890,7 +890,7 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
                 if rep.verdict is BisimVerdict.UNKNOWN:
                     outcome = UNKNOWN
             if outcome is None:
-                outcome = FAIL if candidates else FAIL
+                outcome = FAIL
                 evidence.setdefault("completeness_failure", show_pi(reduct))
             verdicts.append(outcome)
 

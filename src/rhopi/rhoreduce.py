@@ -12,6 +12,12 @@ structural congruence; working on canonical forms makes both closures free:
 redexes are pairs of top-level parallel components with identical canonical
 subjects.
 
+The continuation P{@Q / y} depends only on the interned pair of input and
+lift nodes, never on the rest of the state, so it is computed once per pair
+and memoised.  A successor is then built by merging that canonical
+continuation into the already-sorted canonical rest of the state
+(``canon_par_into``), never by canonicalizing the whole state again.
+
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
 its subject, in both cases up to name equivalence.
@@ -31,8 +37,8 @@ from .rhoterm import (
     RhoName,
     RhoProc,
     canon_name,
+    canon_par_into,
     canon_proc,
-    par,
     quote,
     subst_marker,
 )
@@ -88,29 +94,45 @@ def redexes(p: RhoProc) -> list:
     return found
 
 
+# (input node, lift node) -> canonical continuation of their communication
+_CONTINUATION: dict = {}
+
+
+def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
+    """The canonical reduct of the state whose canonical components are comps
+    by the communication of input comps[i] with lift comps[j]."""
+    inode = comps[i]
+    onode = comps[j]
+    pair = (inode, onode)
+    continuation = _CONTINUATION.get(pair)
+    if continuation is None:
+        # the payload quote is passed uncollapsed: name positions take its
+        # canonical name, a dropped binder becomes the lifted body as written
+        continuation = subst_marker(inode.body, quote(onode.body), inode.binder.index)
+        _CONTINUATION[pair] = continuation
+    rest = [c for k, c in enumerate(comps) if k != i and k != j]
+    return canon_par_into(rest, continuation)
+
+
 def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
     """The canonical reduct of p by the given redex."""
-    comps = components(p)
-    inode = comps[redex.input_index]
-    onode = comps[redex.lift_index]
-    # the payload quote is passed uncollapsed: name positions take its
-    # canonical name, a dropped binder becomes the lifted body as written
-    payload = quote(onode.body)
-    continuation = subst_marker(inode.body, payload, inode.binder.index)
-    rest = [
-        c
-        for k, c in enumerate(comps)
-        if k != redex.input_index and k != redex.lift_index
-    ]
-    return canon_proc(par(*rest, continuation))
+    return _reduct(components(p), redex.input_index, redex.lift_index)
 
 
 def step(p: RhoProc) -> list:
-    """Canonical one-step reducts of p, deduplicated, in redex order."""
+    """Canonical one-step reducts of p, deduplicated, in redex order.  A redex
+    on the same (input, lift) pair as an earlier one is skipped: it can only
+    give the same reduct."""
+    comps = components(p)
     out: list = []
     seen = set()
+    applied = set()
     for r in redexes(p):
-        q = apply_redex(p, r)
+        pair = (comps[r.input_index], comps[r.lift_index])
+        if pair in applied:
+            continue
+        applied.add(pair)
+        q = _reduct(comps, r.input_index, r.lift_index)
         if q not in seen:
             seen.add(q)
             out.append(q)

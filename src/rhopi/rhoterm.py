@@ -43,8 +43,11 @@ process in place of a matching drop, which is what communication uses.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "RhoTerm",
@@ -68,6 +71,7 @@ __all__ = [
     "marker",
     "canon_proc",
     "canon_name",
+    "canon_par_into",
     "struct_eq",
     "name_eq",
     "free_names",
@@ -345,6 +349,32 @@ def _canon(p: RhoProc, env: tuple) -> RhoProc:
 
     _CANON_PROC[cache_key] = out
     _CANON_PROC[(out, env)] = out
+    return out
+
+
+_BY_KEY = attrgetter("key")
+
+
+def canon_par_into(rest: Sequence[RhoProc], q: RhoProc) -> RhoProc:
+    """Canonical form of ``par(*rest, q)`` when rest is a key-sorted sequence
+    of canonical top-level components (no 0, no Par) and q is canonical.
+
+    Only q is placed: a 0 is dropped, the children of a Par are merged in
+    and anything else is inserted.  Keys are injective on interned nodes, so
+    the result is the very node ``canon_proc`` would build."""
+    if isinstance(q, Nil):
+        kids = list(rest)
+    elif isinstance(q, Par):
+        kids = list(heapq.merge(rest, q.children, key=_BY_KEY))
+    else:
+        kids = list(rest)
+        bisect.insort(kids, q, key=_BY_KEY)
+    if not kids:
+        return _NIL_NODE
+    if len(kids) == 1:
+        return kids[0]
+    out = par(*kids)
+    _CANON_PROC[(out, ())] = out
     return out
 
 

@@ -240,6 +240,91 @@ def test_criteria_small_run(capsys):
 
 
 # ---------------------------------------------------------------------------
+# JSON mode
+# ---------------------------------------------------------------------------
+
+
+def test_bisim_witness_is_printed_as_terms(capsys):
+    code, out, _ = run(capsys, "bisim", "@0!(0)", "@(@0!(0))!(0)", "--json")
+    assert code == 1
+    assert json.loads(out)["witness"]["only"] == ["left", ["out @0"]]
+    code, out, _ = run(
+        capsys, "bisim", "a!b | a?(x).0", "a!b | a?(x).a!b", "--calculus", "pi", "--json"
+    )
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert witness["reason"] == "move"
+    assert pi_canon(parse_pi(witness["to_state"])) is pi_canon(parse_pi("0"))
+
+
+_RHO_INPUTS = (
+    "@0!(0) | @0?(y).*y",
+    "@0!(@0!(0)) | @0?(y).(*y | @0!(0))",
+    "@0?(a).(*a | @0!(*a)) | @0!(@0?(a).(*a | @0!(*a)))",
+    "@(@0!(0))?(y).0 | @0!(0)",
+)
+_PI_INPUTS = ("new z . u!z", "!x?(y).x!a | x!a", "a!b | a?(x).0")
+
+
+def _json_runs(tmp_path) -> list:
+    rng = random.Random(11)
+    pis = list(_PI_INPUTS) + [show_pi(random_pi_term(rng, size=6)) for _ in range(3)]
+    small = ("--max-states", "200", "--max-depth", "30")
+    runs = [
+        ["nameq", "@0", "@(*@0)"],
+        ["nameq", "@0", "@(@0!(0))"],
+        ["qdepth", "@(@0!(0))", "--name"],
+        ["repro", "separation"],
+        ["criteria", "--count", "3", "--size", "5"],
+    ]
+    for t in _RHO_INPUTS:
+        runs += [
+            ["parse", t],
+            ["structeq", t, _RHO_INPUTS[0]],
+            ["qdepth", t],
+            ["reduce", t, "--steps", "3"],
+            ["trace", t, "--max-depth", "5"],
+            ["barbs", t],
+            ["barbs", t, "--restrict", "@0"],
+            ["diverge", t, *small],
+        ]
+        for u in _RHO_INPUTS:
+            runs += [["bisim", t, u, *small], ["bisim", t, u, "--weak", *small]]
+    for t in pis:
+        runs += [
+            ["parse", t, "--calculus", "pi"],
+            ["encode", t],
+            ["encode", t, "--scheme", "mr", "--manifest"],
+            ["encode", t, "--raw"],
+            ["diverge", t, "--calculus", "pi", *small],
+            ["bisim", t, pis[2], "--calculus", "pi", *small],
+            ["bisim", t, pis[2], "--calculus", "pi", "--weak", *small],
+        ]
+    pi_file = tmp_path / "t.pi"
+    pi_file.write_text("a!b\n", encoding="utf-8")
+    runs += [  # errors
+        ["parse", "*@("],
+        ["parse", "*y0"],
+        ["reduce", str(tmp_path / "missing.rho")],
+        ["encode", "!(u!z)"],
+        ["bisim", str(pi_file), "@0!(0)"],
+    ]
+    return runs
+
+
+def test_every_subcommand_prints_json(tmp_path, capsys):
+    runs = _json_runs(tmp_path)
+    assert {r[0] for r in runs} == {
+        "parse", "nameq", "structeq", "qdepth", "reduce", "trace", "barbs",
+        "encode", "bisim", "diverge", "repro", "criteria",
+    }
+    for argv in runs:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code in (0, 1, 2), argv
+        json.loads(out)
+
+
+# ---------------------------------------------------------------------------
 # Term files
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import rhopi
 from rhopi.harness import (
     FAIL,
     PASS,
@@ -92,6 +93,27 @@ def test_identified_sources_reproduction_passes():
     rep = repro_cex2()
     assert rep.passed
     assert len(set(c.label for c in rep.checks)) == len(rep.checks)
+
+
+def _verdicts_and_evidence(rep) -> dict:
+    d = rep.to_dict()
+    d.pop("elapsed_seconds")
+    return d
+
+
+def test_clearing_derived_caches_leaves_reports_unchanged():
+    warm = [_verdicts_and_evidence(repro_cex1()), _verdicts_and_evidence(repro_cex2())]
+    stats = rhopi.cache_stats()
+    assert stats["rhoterm.canon_proc"] > 0
+    assert stats["rhoreduce.continuation"] > 0
+    assert stats["piterm.pi_canon"] > 0
+
+    rhopi.clear_caches()
+    assert set(rhopi.cache_stats().values()) == {0}
+    cold = [_verdicts_and_evidence(repro_cex1())]
+    rhopi.clear_caches()
+    cold.append(_verdicts_and_evidence(repro_cex2()))
+    assert cold == warm
 
 
 def test_too_small_bounds_raise_instead_of_failing_quietly():

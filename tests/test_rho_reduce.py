@@ -3,6 +3,10 @@ equivalent (not merely identical) subjects, payloads splice as written,
 reduction never reaches under guards or quotes, and barbs/redexes are
 computed on canonical component lists."""
 
+import pytest
+
+import rhopi
+from rhopi import equiv, harness
 from rhopi.rhoreduce import (
     apply_redex,
     barbs,
@@ -23,12 +27,14 @@ from rhopi.rhoterm import (
     par,
     quote,
     struct_eq,
+    subst_marker,
 )
 
 xn = NULL_NAME
 yn = gen_fresh([xn])
 zn = gen_fresh([xn, yn])
 b = gen_fresh([xn, yn, zn])  # used as a binder in raw terms
+c = gen_fresh([xn, yn, zn, b])  # a second binder, for nested inputs
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +154,93 @@ def test_reduction_graph_truncates_at_bounds():
     g_cut = reduction_graph(chain, max_states=2, max_depth=10)
     assert g_cut.truncated
     assert len(g_cut.states) == 2
+
+
+# ---------------------------------------------------------------------------
+# Incremental successors agree with whole-state canonicalization
+# ---------------------------------------------------------------------------
+
+
+def reference_step(p):
+    """step as specified: substitute into the input's body, compose with the
+    remaining components and canonicalize the whole state; deduplicate."""
+    comps = components(p)
+    out = []
+    for r in redexes(p):
+        inode, onode = comps[r.input_index], comps[r.lift_index]
+        continuation = subst_marker(inode.body, quote(onode.body), inode.binder.index)
+        rest = [k for i, k in enumerate(comps) if i not in (r.input_index, r.lift_index)]
+        q = canon_proc(par(*rest, continuation))
+        if not any(q is seen for seen in out):
+            out.append(q)
+    return out
+
+
+def assert_step_matches_reference(p):
+    got = step(p)
+    rhopi.clear_caches()  # the reference recomputes every canonical form
+    want = reference_step(p)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+    rhopi.clear_caches()
+    for q in got:
+        assert canon_proc(q) is q
+    for r in redexes(p):
+        assert apply_redex(p, r) in got
+
+
+HAND_BUILT = {
+    "duplicate senders and receivers": par(
+        lift(xn, drop(zn)),
+        lift(xn, drop(zn)),
+        lift(xn, nil()),
+        inp(xn, b, drop(b)),
+        inp(xn, b, drop(b)),
+        lift(yn, nil()),
+    ),
+    "nil continuation": par(inp(xn, b, nil()), lift(xn, nil()), lift(yn, nil())),
+    "par continuation flattens into rest": par(
+        inp(xn, b, par(lift(zn, drop(b)), drop(yn), inp(yn, c, nil()), lift(xn, nil()))),
+        lift(xn, lift(yn, nil())),
+        drop(zn),
+        lift(yn, nil()),
+        inp(zn, c, drop(c)),
+    ),
+    "single-component result": par(inp(xn, b, lift(b, nil())), lift(xn, nil())),
+    "payload par spliced into a drop": par(
+        inp(xn, b, par(drop(b), lift(zn, nil()))),
+        lift(xn, par(lift(yn, nil()), inp(zn, c, nil()), drop(xn))),
+        lift(yn, drop(zn)),
+    ),
+    "nested inputs renumber their binders": par(
+        inp(xn, b, inp(b, c, par(lift(c, drop(b)), inp(c, b, drop(b))))),
+        lift(xn, lift(yn, nil())),
+        inp(yn, c, inp(c, b, lift(b, drop(c)))),
+        lift(yn, nil()),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HAND_BUILT))
+def test_step_matches_whole_state_canonicalization(label):
+    p = canon_proc(HAND_BUILT[label])
+    assert redexes(p)
+    assert_step_matches_reference(p)
+    for q in step(p):  # and one step further
+        assert_step_matches_reference(q)
+
+
+def test_step_matches_reference_on_cex1_states(monkeypatch):
+    reached = []
+
+    def recording_step(p):
+        reached.append(p)
+        return step(p)
+
+    monkeypatch.setattr(harness, "rho_step", recording_step)
+    monkeypatch.setattr(equiv, "rho_step", recording_step)
+    harness.repro_cex1()
+    states = list(dict.fromkeys(reached))
+    assert len(states) > 100
+    for p in states:
+        assert_step_matches_reference(p)

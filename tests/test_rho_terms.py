@@ -13,7 +13,9 @@ from rhopi.rhoterm import (
     NULL_NAME,
     BoundMarker,
     NamespaceScheme,
+    Par,
     canon_name,
+    canon_par_into,
     canon_proc,
     drop,
     free_names,
@@ -255,3 +257,15 @@ def test_congruent_variants_share_a_canonical_form(seed):
     t = oracles.random_proc(rng, rng.randrange(1, 9))
     u = oracles.congruent_variant(rng, t)
     assert canon_proc(oracles.to_pkg_proc(t)) is canon_proc(oracles.to_pkg_proc(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_parallel_insert_matches_full_canonicalization(seed):
+    rng = random.Random(seed)
+    p = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
+    q = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
+    rest = p.children if isinstance(p, Par) else () if p is nil() else (p,)
+    merged = canon_par_into(rest, q)
+    assert merged is canon_proc(par(p, q))
+    assert canon_proc(merged) is merged
