@@ -40,12 +40,14 @@ from .equiv import (
     DivergenceVerdict,
     barbed_bisim,
     divergence_probe,
+    graph_divergence,
     pi_barbed_bisim,
     pi_divergence,
     pi_weak_barb_set,
     restricted_weak_obs,
     rho_barbed_bisim,
     rho_weak_barb_set,
+    weak_observations,
 )
 from .harness import (
     BoundsTooSmall,
@@ -62,11 +64,11 @@ from .harness import (
 from .lts import BarbSearch, Lts, Verdict, explore, weak_barb_search
 from .piterm import (
     PiTerm,
+    named,
     pi_barbs,
     pi_canon,
     pi_eq,
     pi_free_names,
-    pi_reduction_graph,
     pi_step,
     pin,
     pnew,
@@ -76,7 +78,7 @@ from .piterm import (
     prepl,
     show_pi,
 )
-from .rhoreduce import barbs, components, reduction_graph, redexes, step
+from .rhoreduce import barbs, components, redexes, step
 from .rhoterm import (
     NamespaceScheme,
     RhoName,
@@ -95,6 +97,7 @@ from .rhoterm import (
     nil,
     ns_member,
     par,
+    peel,
     quote,
     quote_depth,
     quote_depth_proc,

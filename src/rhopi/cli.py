@@ -28,7 +28,7 @@ existing ``.rho``/``.pi`` file, and parsed as literal text otherwise.
 
 Exit status: 0 on success (and on ``true``/``Pass``/``bisimilar``
 outcomes), 1 when a check command resolves negatively or cannot resolve,
-2 on usage or syntax errors.
+2 on usage or syntax errors and on terms nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from typing import Callable, Optional
 
 from .encode import (
     EncodingError,
-    MrEncoding,
     NsEncoding,
-    RenamingPolicy,
     encode_mr,
     encode_ns,
 )
@@ -57,23 +55,15 @@ from .equiv import (
 )
 from .harness import Report, check_criteria, repro_cex1, repro_cex2, repro_separation_witness, BoundsTooSmall
 from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES
-from .piterm import PiTerm, pi_canon, show_pi, pin, pnew, pnil, pout, ppar, prepl
+from .piterm import PiTerm, show_pi, pin, pnew, pnil, pout, ppar, prepl
 from .rhoreduce import barbs as rho_barbs
 from .rhoreduce import step as rho_step
 from .rhoterm import (
     NULL_NAME,
     BoundMarker,
-    Drop,
-    Input,
-    Lift,
-    Nil,
-    Par,
-    Quote,
+    NamespaceScheme,
     RhoName,
     RhoProc,
-    _peel_comp,
-    _peel_left,
-    _peel_right,
     canon_name,
     canon_proc,
     drop,
@@ -83,6 +73,7 @@ from .rhoterm import (
     name_eq,
     nil,
     par,
+    peel,
     quote,
     quote_depth,
     quote_depth_proc,
@@ -389,6 +380,13 @@ def parse_pi(text: str) -> PiTerm:
 # ---------------------------------------------------------------------------
 
 
+_TEMPLATE_LABEL = {
+    NamespaceScheme.LEFT_INCREMENT: "l",
+    NamespaceScheme.RIGHT_INCREMENT: "r",
+    NamespaceScheme.COMPOSITION: "c",
+}
+
+
 def _alias_renderer(alias: dict) -> Callable:
     """A name renderer that prefers short aliases, renders derived names
     compositionally (l(x), r(x), c(x,y)), and otherwise synthesizes a fresh
@@ -402,15 +400,10 @@ def _alias_renderer(alias: dict) -> Callable:
             return got
         if isinstance(c, BoundMarker):
             return f"y{c.index}"
-        inner = _peel_left(c)
-        if inner is not None:
-            return f"l({render(inner)})"
-        inner = _peel_right(c)
-        if inner is not None:
-            return f"r({render(inner)})"
-        pair = _peel_comp(c)
-        if pair is not None:
-            return f"c({render(pair[0])},{render(pair[1])})"
+        template = peel(c)
+        if template is not None:
+            scheme, parts = template
+            return f"{_TEMPLATE_LABEL[scheme]}({','.join(render(y) for y in parts)})"
         if c is NULL_NAME:
             return "@0"
         got = fallback.get(c)
@@ -422,22 +415,11 @@ def _alias_renderer(alias: dict) -> Callable:
     return render
 
 
-def _show_aliased(p: RhoProc, render: Callable) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Drop):
-        return f"*{render(p.name)}"
-    if isinstance(p, Lift):
-        return f"{render(p.subject)}!({_show_aliased(p.body, render)})"
-    if isinstance(p, Input):
-        body = _show_aliased(p.body, render)
-        if isinstance(p.body, Par):
-            body = f"({body})"
-        return f"{render(p.subject)}?({render(p.binder)}).{body}"
-    return " | ".join(
-        f"({_show_aliased(c, render)})" if isinstance(c, Par) else _show_aliased(c, render)
-        for c in p.children
-    )
+def _encoding_roles(enc) -> list:
+    """(label, machine name) for each parameter of an encoding."""
+    if isinstance(enc, NsEncoding):
+        return list(zip("n v x z s".split(), enc.params.all_names()))
+    return [("n", enc.n), ("p", enc.p)]
 
 
 def _encoding_aliases(enc) -> dict:
@@ -445,11 +427,7 @@ def _encoding_aliases(enc) -> dict:
     atoms = set(enc.policy.known_atoms())
     for a in enc.policy.known_atoms():
         alias[canon_name(enc.policy.name_for(a))] = a
-    if isinstance(enc, NsEncoding):
-        roles = zip("n v x z s".split(), enc.params.all_names())
-    else:
-        roles = zip(("n", "p"), (enc.n, enc.p))
-    for label, nm in roles:
+    for label, nm in _encoding_roles(enc):
         while label in atoms:
             label += "'"
         atoms.add(label)
@@ -615,21 +593,16 @@ def _cmd_encode(args) -> int:
     except EncodingError as exc:
         return _error(args, str(exc), 1)
     render = show_name if args.raw else _alias_renderer(_encoding_aliases(enc))
-    shower = show_proc if args.raw else (lambda p: _show_aliased(p, render))
-    lines = [shower(enc.translation)]
+    lines = [show_proc(enc.translation, render)]
     payload = {"scheme": args.scheme, "translation": lines[0]}
     if isinstance(enc, NsEncoding):
-        lines.append(f"server: {shower(enc.server)}")
-        payload["server"] = shower(enc.server)
+        payload["server"] = show_proc(enc.server, render)
+        lines.append(f"server: {payload['server']}")
     if args.manifest:
         man = {}
         for a in enc.policy.known_atoms():
             man[a] = show_name(enc.policy.name_for(a))
-        if isinstance(enc, NsEncoding):
-            roles = zip("n v x z s".split(), enc.params.all_names())
-        else:
-            roles = zip(("n", "p"), (enc.n, enc.p))
-        for label, nm in roles:
+        for label, nm in _encoding_roles(enc):
             man[f"[param {label}]"] = show_name(nm)
         payload["manifest"] = man
         lines.append("manifest:")
@@ -690,21 +663,12 @@ def _render_witness(witness: Optional[dict], calc: str) -> Optional[dict]:
 def _cmd_diverge(args) -> int:
     text, calc = _read_term_arg(args.term, args.calculus)
     if calc == "pi":
-        rep = pi_divergence(
-            parse_pi(text), max_states=args.max_states, max_depth=args.max_depth
-        )
-        payload = {"verdict": rep.verdict.value, "states": rep.states}
-        lines = [rep.verdict.value]
+        probe, term = pi_divergence, parse_pi(text)
     else:
-        rep = divergence_probe(
-            parse_rho(text), max_states=args.max_states, max_depth=args.max_depth
-        )
-        payload = {
-            "verdict": rep.verdict.value,
-            "rule": rep.rule,
-            "states": rep.states,
-        }
-        lines = [rep.verdict.value + (f" ({rep.rule})" if rep.rule else "")]
+        probe, term = divergence_probe, parse_rho(text)
+    rep = probe(term, max_states=args.max_states, max_depth=args.max_depth)
+    payload = {"verdict": rep.verdict.value, "rule": rep.rule, "states": rep.states}
+    lines = [rep.verdict.value + (f" ({rep.rule})" if rep.rule else "")]
     _emit(args, payload, lines)
     return 0
 
@@ -834,6 +798,8 @@ def main(argv: Optional[list] = None) -> int:
         return _error(args, str(exc), 2)
     except EncodingError as exc:
         return _error(args, str(exc), 1)
+    except RecursionError:
+        return _error(args, "term nests too deeply for this implementation", 2)
 
 
 if __name__ == "__main__":

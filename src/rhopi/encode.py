@@ -27,7 +27,7 @@ congruence (that failure is the point of the counter-examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .piterm import PIn, PNew, PNil, POut, PPar, PRepl, PiTerm
@@ -46,6 +46,7 @@ from .rhoterm import (
     ncomp,
     nil,
     par,
+    peel,
     quote,
     rincr,
 )
@@ -211,23 +212,13 @@ def derivable(sources: Iterable[RhoName], target: RhoName) -> bool:
     templates (left increment, right increment, composition), in any mixture?
     Sources themselves are derivable.  Composition requires both component
     positions to be derivable."""
-    from .rhoterm import _peel_comp, _peel_left, _peel_right
-
     srcs = {canon_name(s) for s in sources}
 
     def go(c: RhoName) -> bool:
         if c in srcs:
             return True
-        nxt = _peel_left(c)
-        if nxt is not None:
-            return go(nxt)
-        nxt = _peel_right(c)
-        if nxt is not None:
-            return go(nxt)
-        pair = _peel_comp(c)
-        if pair is not None:
-            return go(pair[0]) and go(pair[1])
-        return False
+        got = peel(c)
+        return got is not None and all(go(part) for part in got[1])
 
     return go(canon_name(target))
 

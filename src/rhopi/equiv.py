@@ -9,21 +9,24 @@ sets via strongly-connected-component condensation), and runs partition
 refinement over the union; identical canonical roots short-circuit to
 Bisimilar.  Truncated explorations yield Unknown unless a definite
 distinction survives truncation (a barb one side exhibits and the other side
-provably never reaches).
+provably never reaches).  Each rho_/pi_ pair of entry points shares one body
+with the calculus' canonical form, step and barbs plugged in, and
+``weak_observations`` gives each state of an explored graph its weak barbs.
 
-``divergence_probe`` searches a reflective term for an infinite reduction.
-A reachable cycle is Diverges (sound); a fully explored acyclic graph is
-Terminates (sound) — heuristics never touch either verdict.  Only when the
-exploration was cut off do two replay heuristics inspect the partial graph
-for evidence of unbounded growth: a state containing a breadth-first
-ancestor as a strict sub-multiset of parallel components (the ancestor's
-whole future can be replayed beside the surplus, since reduction is closed
-under parallel composition); and a chain of two states each matching its
-ancestor under an injective renaming of whole names where every moved name
-gets strictly deeper and an output body may additionally wrap the ancestor's
-body under extra output guards — the signature of a machine re-running
-itself each round on self-quoted, ever-growing fuel.  Anything else is
-Unknown.
+``graph_divergence`` reads the sound divergence verdicts off an explored
+graph: a reachable cycle is Diverges, a fully explored acyclic graph is
+Terminates, anything else Unknown; ``pi_divergence`` is just that rule.
+``divergence_probe`` applies it to a reflective term, and heuristics never
+touch either sound verdict.  Only when the exploration was cut off do two
+replay heuristics inspect the partial graph for evidence of unbounded growth:
+a state containing a breadth-first ancestor as a strict sub-multiset of
+parallel components (the ancestor's whole future can be replayed beside the
+surplus, since reduction is closed under parallel composition); and a chain
+of two states each matching its ancestor under an injective renaming of
+whole names where every moved name gets strictly deeper and an output body
+may additionally wrap the ancestor's body under extra output guards — the
+signature of a machine re-running itself each round on self-quoted,
+ever-growing fuel.  Anything else is Unknown.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .lts import Verdict, explore, weak_barb_search
-from .piterm import PiTerm, PPar, pi_barbs, pi_canon, pi_step
+from .lts import Lts, Verdict, explore, weak_barb_search
+from .piterm import PiTerm, pi_barbs, pi_canon, pi_step
 from .rhoreduce import barbs as rho_barbs
 from .rhoreduce import components as rho_components
 from .rhoreduce import step as rho_step
@@ -58,8 +61,10 @@ __all__ = [
     "pi_barbed_bisim",
     "DivergenceVerdict",
     "DivergenceReport",
+    "graph_divergence",
     "divergence_probe",
     "pi_divergence",
+    "weak_observations",
     "rho_weak_barb_set",
     "pi_weak_barb_set",
     "restricted_weak_obs",
@@ -232,12 +237,7 @@ def barbed_bisim(
 
     if weak:
         succ_rel = _reach_sets(n, edges)
-        barb_sig = []
-        for i in range(n):
-            acc: frozenset = frozenset()
-            for j in succ_rel[i]:
-                acc |= barb_fn(states[j])
-            barb_sig.append(acc)
+        barb_sig = weak_observations(states, edges, barb_fn)
     else:
         succ_rel = [set(row) for row in edges]
         barb_sig = [barb_fn(states[i]) for i in range(n)]
@@ -306,6 +306,27 @@ def _bisim_witness(states, n1, block_of, succ_rel, barb_sig, weak) -> dict:
     return {"reason": "refinement", "note": "roots separated below the first move"}
 
 
+def _calculus_bisim(canon, step_fn, barbs, p, q, weak, restrict, max_states, max_depth):
+    """barbed_bisim of two terms of one calculus: canon brings a term to its
+    canonical form, step_fn and barbs are the calculus' reduction and
+    observation (barbs takes the state and the allowed subjects)."""
+    allowed = None if restrict is None else list(restrict)
+    return barbed_bisim(
+        canon(p),
+        canon(q),
+        step_fn,
+        lambda s: barbs(s, allowed),
+        weak=weak,
+        max_states=max_states,
+        max_depth=max_depth,
+    )
+
+
+# Entry points pass their calculus' functions at call time, not through a
+# table built at import, so rebinding a module attribute (as perfbench's
+# per-layer tracing does) reaches every caller.
+
+
 def rho_barbed_bisim(
     p: RhoProc,
     q: RhoProc,
@@ -314,15 +335,8 @@ def rho_barbed_bisim(
     max_states: int = 2000,
     max_depth: int = 200,
 ) -> BisimReport:
-    allowed = None if restrict is None else [canon_name(x) for x in restrict]
-    return barbed_bisim(
-        canon_proc(p),
-        canon_proc(q),
-        rho_step,
-        lambda s: rho_barbs(s, allowed),
-        weak=weak,
-        max_states=max_states,
-        max_depth=max_depth,
+    return _calculus_bisim(
+        canon_proc, rho_step, rho_barbs, p, q, weak, restrict, max_states, max_depth
     )
 
 
@@ -334,21 +348,39 @@ def pi_barbed_bisim(
     max_states: int = 2000,
     max_depth: int = 200,
 ) -> BisimReport:
-    allowed = None if restrict is None else list(restrict)
-    return barbed_bisim(
-        pi_canon(p),
-        pi_canon(q),
-        pi_step,
-        lambda s: pi_barbs(s, allowed),
-        weak=weak,
-        max_states=max_states,
-        max_depth=max_depth,
+    return _calculus_bisim(
+        pi_canon, pi_step, pi_barbs, p, q, weak, restrict, max_states, max_depth
     )
 
 
 # ---------------------------------------------------------------------------
-# Weak observation sets
+# Weak observation
 # ---------------------------------------------------------------------------
+
+
+def weak_observations(states: list, edges: list, barb_fn: Callable) -> list:
+    """Per state of a graph (states and successor lists, as in ``Lts``), the
+    union of barb_fn over every state it reaches, itself included."""
+    comp_of, comps = _sccs(len(states), edges)
+    comp_obs: list = []
+    for ci, members in enumerate(comps):
+        acc: frozenset = frozenset()
+        for u in members:
+            acc |= barb_fn(states[u])
+            for v in edges[u]:
+                if comp_of[v] != ci:
+                    acc |= comp_obs[comp_of[v]]
+        comp_obs.append(acc)
+    return [comp_obs[c] for c in comp_of]
+
+
+def _weak_barb_set(canon, step_fn, barbs, t, subjects, max_states, max_depth) -> tuple:
+    allowed = None if subjects is None else list(subjects)
+    g = explore(canon(t), step_fn, max_states=max_states, max_depth=max_depth)
+    acc: frozenset = frozenset()
+    for s in g.states:
+        acc |= barbs(s, allowed)
+    return acc, g.truncated
 
 
 def rho_weak_barb_set(
@@ -359,12 +391,7 @@ def rho_weak_barb_set(
 ) -> tuple:
     """All barbs observable from p or any reduct (restricted to subjects if
     given), plus whether the exploration was cut off."""
-    allowed = None if subjects is None else [canon_name(x) for x in subjects]
-    g = explore(canon_proc(p), rho_step, max_states=max_states, max_depth=max_depth)
-    acc: frozenset = frozenset()
-    for s in g.states:
-        acc |= rho_barbs(s, allowed)
-    return acc, g.truncated
+    return _weak_barb_set(canon_proc, rho_step, rho_barbs, p, subjects, max_states, max_depth)
 
 
 def pi_weak_barb_set(
@@ -373,12 +400,8 @@ def pi_weak_barb_set(
     max_states: int = 2000,
     max_depth: int = 200,
 ) -> tuple:
-    allowed = None if subjects is None else list(subjects)
-    g = explore(pi_canon(t), pi_step, max_states=max_states, max_depth=max_depth)
-    acc: frozenset = frozenset()
-    for s in g.states:
-        acc |= pi_barbs(s, allowed)
-    return acc, g.truncated
+    """The name-passing counterpart of rho_weak_barb_set."""
+    return _weak_barb_set(pi_canon, pi_step, pi_barbs, t, subjects, max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -386,49 +409,25 @@ def pi_weak_barb_set(
 # ---------------------------------------------------------------------------
 
 
-def _top_pi_components(t: PiTerm) -> list:
-    """Top-level parallel components of a pi term as written."""
-    out: list = []
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, PPar):
-            stack.extend(reversed(x.children))
-        else:
-            out.append(x)
-    return out
-
-
 def restricted_weak_obs(
-    source: PiTerm,
+    encoded_parts: list,
     barb: tuple,
     restrict: Optional[Iterable] = None,
-    policy=None,
-    encoded_parts: Optional[list] = None,
     max_states: int = 2000,
     max_depth: int = 200,
 ) -> Verdict:
-    """Does the encoding of source exhibit barb, observing each top-level
-    parallel component of the source separately?
+    """Does an encoded source exhibit barb, observing each top-level parallel
+    component of the source separately?
 
-    The source is split into its parallel components as written; each leaf is
-    encoded with its own name server (sharing one renaming policy so source
-    atoms keep one image) and explored on its own.  The whole term shows the
-    barb exactly when some component does — component interaction is
-    deliberately out of view, which is what makes the observation compare
-    cleanly against the source term's own barbs.  Pass precomputed
-    ``encoded_parts`` (aligned with the component list) to reuse encodings.
+    encoded_parts holds the encoding (or its reflective state) of each
+    top-level parallel component of the source as written, each with its own
+    name server and one shared renaming policy so source atoms keep one
+    image.  Each part is explored on its own, and the whole term shows the
+    barb exactly when some part does — component interaction is deliberately
+    out of view, which is what makes the observation compare cleanly against
+    the source term's own barbs.
     """
-    from .encode import RenamingPolicy, encode_ns
-
     allowed = None if restrict is None else [canon_name(x) for x in restrict]
-    if encoded_parts is None:
-        pol = policy if policy is not None else RenamingPolicy()
-        pol.scan(source)
-        encoded_parts = [
-            encode_ns(leaf, policy=pol) for leaf in _top_pi_components(source)
-        ]
-
     saw_unknown = False
     for enc in encoded_parts:
         state = enc.state if hasattr(enc, "state") else enc
@@ -470,14 +469,11 @@ _ANCESTOR_SCAN_LIMIT = 64  # ancestors inspected per state by the heuristics
 _REPLAY_NODE_BUDGET = 500_000  # total matcher steps per probe
 
 
-def divergence_probe(
-    p: RhoProc, max_states: int = 400, max_depth: int = 120
-) -> DivergenceReport:
-    """Bounded divergence analysis of a reflective term (see module docs for
-    the verdict rules)."""
-    g = explore(canon_proc(p), rho_step, max_states=max_states, max_depth=max_depth)
+def graph_divergence(g: Lts) -> DivergenceReport:
+    """The verdict an explored graph settles by itself: a reachable cycle
+    diverges, a fully explored acyclic graph terminates, anything else is
+    Unknown."""
     n = len(g.states)
-
     cyc = _find_cycle(n, g.edges)
     if cyc is not None:
         return DivergenceReport(
@@ -487,9 +483,21 @@ def divergence_probe(
             n,
             g.truncated,
         )
-
     if not g.truncated:
         return DivergenceReport(DivergenceVerdict.TERMINATES, None, {}, n, False)
+    return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True)
+
+
+def divergence_probe(
+    p: RhoProc, max_states: int = 400, max_depth: int = 120
+) -> DivergenceReport:
+    """Bounded divergence analysis of a reflective term (see module docs for
+    the verdict rules)."""
+    g = explore(canon_proc(p), rho_step, max_states=max_states, max_depth=max_depth)
+    settled = graph_divergence(g)
+    if settled.verdict is not DivergenceVerdict.UNKNOWN:
+        return settled
+    n = len(g.states)
 
     # The run was cut off: look for replayable growth along ancestor chains.
     comp_counters = [Counter(rho_components(s)) for s in g.states]
@@ -538,28 +546,17 @@ def divergence_probe(
             j = g.parents[j]
             hops += 1
 
-    return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True)
+    return settled
 
 
 def pi_divergence(
     t: PiTerm, max_states: int = 2000, max_depth: int = 200
 ) -> DivergenceReport:
-    """Divergence of a pi term by exhaustive bounded exploration: a reachable
-    cycle diverges, a fully explored acyclic graph terminates."""
-    g = explore(pi_canon(t), pi_step, max_states=max_states, max_depth=max_depth)
-    n = len(g.states)
-    cyc = _find_cycle(n, g.edges)
-    if cyc is not None:
-        return DivergenceReport(
-            DivergenceVerdict.DIVERGES,
-            "cycle",
-            {"cycle_states": cyc, "example": g.states[cyc[0]]},
-            n,
-            g.truncated,
-        )
-    if not g.truncated:
-        return DivergenceReport(DivergenceVerdict.TERMINATES, None, {}, n, False)
-    return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True)
+    """Divergence of a pi term by bounded exploration alone (graph_divergence:
+    no growth heuristics)."""
+    return graph_divergence(
+        explore(pi_canon(t), pi_step, max_states=max_states, max_depth=max_depth)
+    )
 
 
 def _submultiset(small: Counter, big: Counter) -> bool:

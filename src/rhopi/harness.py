@@ -45,14 +45,14 @@ from .encode import (
 from .equiv import (
     BisimVerdict,
     DivergenceVerdict,
-    _reach_sets,
-    barbed_bisim,
     divergence_probe,
+    graph_divergence,
     pi_barbed_bisim,
-    pi_divergence,
     pi_weak_barb_set,
     restricted_weak_obs,
+    rho_barbed_bisim,
     rho_weak_barb_set,
+    weak_observations,
 )
 from .lts import Verdict, explore, weak_barb_search
 from .piterm import (
@@ -63,8 +63,7 @@ from .piterm import (
     PPar,
     PRepl,
     PiTerm,
-    _Gensym,
-    _name_markers,
+    named,
     pi_barbs,
     pi_canon,
     pi_free_names,
@@ -731,20 +730,6 @@ def _worst(verdicts: Iterable[str]) -> str:
     return PASS
 
 
-def _weak_sets(graph, barb_of) -> list:
-    """Per-state weak observation sets over an explored graph."""
-    n = len(graph.states)
-    base = [barb_of(s) for s in graph.states]
-    reach = _reach_sets(n, graph.edges)
-    out = []
-    for i in range(n):
-        acc: frozenset = frozenset()
-        for j in reach[i]:
-            acc |= base[j]
-        out.append(acc)
-    return out
-
-
 def _prepare_term(term: PiTerm, bounds: dict) -> dict:
     """Everything the per-term property checks share."""
     pol = RenamingPolicy()
@@ -792,12 +777,11 @@ def _prop1_parameter_independence(b: dict, bounds: dict) -> tuple:
     params2 = make_encoding_params(b["pol"], others=b["params"].all_names())
     enc2 = encode_ns(b["term"], policy=b["pol"], params=params2)
     subjects = b["subjects"]
-    rep = barbed_bisim(
+    rep = rho_barbed_bisim(
         b["enc"].state,
         enc2.state,
-        rho_step,
-        lambda s: rho_barbs(s, subjects),
         weak=False,
+        restrict=subjects,
         max_states=bounds["bisim_max_states"],
         max_depth=bounds["max_depth"],
     )
@@ -841,11 +825,10 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
     subjects = b["subjects"]
     phi = b["phi"]
 
-    def rho_bf(s):
-        return rho_barbs(s, subjects)
-
-    rho_ws = _weak_sets(g_rho, rho_bf)
-    pi_ws = _weak_sets(g_pi, lambda s: _map_pi_barbs(pi_barbs(s, b["fn"]), phi))
+    rho_ws = weak_observations(g_rho.states, g_rho.edges, lambda s: rho_barbs(s, subjects))
+    pi_ws = weak_observations(
+        g_pi.states, g_pi.edges, lambda s: _map_pi_barbs(pi_barbs(s, b["fn"]), phi)
+    )
 
     verdicts = []
     evidence = {}
@@ -857,8 +840,7 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
     else:
         for j in g_pi.edges[0]:
             reduct = g_pi.states[j]
-            named = _name_markers(reduct, (), _Gensym("r"))
-            enc_r = encode_ns(named, policy=b["pol"], params=b["params"])
+            enc_r = encode_ns(named(reduct, "r"), policy=b["pol"], params=b["params"])
             wr, wr_trunc = rho_weak_barb_set(
                 enc_r.state,
                 subjects,
@@ -875,12 +857,11 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
             )[:3]
             outcome = None
             for i in candidates:
-                rep = barbed_bisim(
+                rep = rho_barbed_bisim(
                     g_rho.states[i],
                     enc_r.state,
-                    rho_step,
-                    rho_bf,
                     weak=True,
+                    restrict=subjects,
                     max_states=bounds["bisim_max_states"],
                     max_depth=bounds["max_depth"],
                 )
@@ -931,10 +912,9 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
 
     for d, a in pi_barbs(b["canon"], b["fn"]):
         obs = restricted_weak_obs(
-            b["term"],
+            parts,
             (d, phi[a]),
             restrict=subjects,
-            encoded_parts=parts,
             max_states=bounds["max_states"],
             max_depth=bounds["max_depth"],
         )
@@ -975,13 +955,8 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
 
 def _prop5_divergence_reflection(b: dict, bounds: dict) -> tuple:
     """If the source term cannot diverge, neither can its encoding."""
-    from .equiv import _find_cycle
-
-    g_pi = b["g_pi"]
-    source_terminates = not g_pi.truncated and _find_cycle(
-        len(g_pi.states), g_pi.edges
-    ) is None
-    if not source_terminates:
+    source = graph_divergence(b["g_pi"])
+    if source.verdict is not DivergenceVerdict.TERMINATES:
         return PASS, {"note": "source not shown terminating; nothing to reflect"}
     probe = divergence_probe(
         b["enc"].state,

@@ -10,11 +10,17 @@ A state sitting at the depth bound is still expanded — edges to states
 already in the graph are kept (so cycles crossing the frontier are seen) and
 only genuinely new states are dropped, which is the one case information is
 lost.
+
+An optional ``stop`` predicate turns the exploration into a search: the
+first state it accepts, tested as the state is dequeued and before it is
+expanded, ends the run early and is recorded as ``Lts.hit``; since states
+are dequeued in breadth-first order, ``trace_to(hit)`` is a shortest
+witness.  ``weak_barb_search`` reads a three-valued verdict off such a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -31,7 +37,9 @@ class Lts:
     states are in discovery order (states[0] is the root); edges[i] lists
     successor indices of state i in first-seen order, deduplicated;
     parents[i] is the index state i was first discovered from (None for the
-    root), giving shortest traces back to the root.
+    root), giving shortest traces back to the root.  hit is the index of the
+    state that satisfied explore's stop predicate, if any; the exploration
+    ended there, so states discovered but not yet expanded have no edges.
     """
 
     states: list
@@ -40,6 +48,7 @@ class Lts:
     parents: list
     truncated: bool
     truncated_reason: Optional[str] = None
+    hit: Optional[int] = None
 
     @property
     def index(self) -> dict:
@@ -63,10 +72,12 @@ def explore(
     step_fn: Callable[[Hashable], Iterable],
     max_states: int = DEFAULT_MAX_STATES,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    stop: Optional[Callable[[Hashable], bool]] = None,
 ) -> Lts:
     """Breadth-first reduction graph from root under step_fn, bounded by
     max_states (total distinct states kept) and max_depth (tree depth at
-    which new states are no longer admitted)."""
+    which new states are no longer admitted).  The run ends at the first
+    dequeued state satisfying stop, if given (see ``Lts.hit``)."""
     states = [root]
     index = {root: 0}
     edges: list = [[]]
@@ -74,11 +85,15 @@ def explore(
     parents: list = [None]
     truncated = False
     reason: Optional[str] = None
+    hit: Optional[int] = None
 
     head = 0
     while head < len(states):
         i = head
         head += 1
+        if stop is not None and stop(states[i]):
+            hit = i
+            break
         seen_targets = set()
         for succ in step_fn(states[i]):
             j = index.get(succ)
@@ -99,7 +114,7 @@ def explore(
                 seen_targets.add(j)
                 edges[i].append(j)
 
-    lts = Lts(states, edges, depths, parents, truncated, reason)
+    lts = Lts(states, edges, depths, parents, truncated, reason, hit)
     object.__setattr__(lts, "_index", index)
     return lts
 
@@ -140,38 +155,11 @@ def weak_barb_search(
     Breadth-first with early exit, so a YES also carries a shortest witness
     trace.  NO requires the bounded exploration to have been exhaustive.
     """
-    states = [root]
-    index = {root: 0}
-    depths = [0]
-    parents: list = [None]
-    truncated = False
-
-    def trace(i: int) -> list:
-        path = []
-        cur: Optional[int] = i
-        while cur is not None:
-            path.append(states[cur])
-            cur = parents[cur]
-        path.reverse()
-        return path
-
-    head = 0
-    while head < len(states):
-        i = head
-        head += 1
-        if pred(states[i]):
-            return BarbSearch(Verdict.YES, depths[i], trace(i), len(states), truncated)
-        for succ in step_fn(states[i]):
-            if succ in index:
-                continue
-            if len(states) >= max_states or depths[i] >= max_depth:
-                truncated = True
-                continue
-            index[succ] = len(states)
-            states.append(succ)
-            depths.append(depths[i] + 1)
-            parents.append(i)
-
-    if truncated:
-        return BarbSearch(Verdict.UNKNOWN, None, None, len(states), True)
-    return BarbSearch(Verdict.NO, None, None, len(states), False)
+    g = explore(root, step_fn, max_states=max_states, max_depth=max_depth, stop=pred)
+    if g.hit is not None:
+        return BarbSearch(
+            Verdict.YES, g.depths[g.hit], g.trace_to(g.hit), len(g.states), g.truncated
+        )
+    if g.truncated:
+        return BarbSearch(Verdict.UNKNOWN, None, None, len(g.states), True)
+    return BarbSearch(Verdict.NO, None, None, len(g.states), False)

@@ -29,7 +29,6 @@ equality is object identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional, Union
 
@@ -50,12 +49,12 @@ __all__ = [
     "pnew",
     "prepl",
     "pimarker",
+    "named",
     "pi_canon",
     "pi_eq",
     "pi_free_names",
     "pi_step",
     "pi_barbs",
-    "pi_reduction_graph",
     "subst_atom",
     "show_pi",
 ]
@@ -232,32 +231,33 @@ class _Gensym:
         return s
 
 
-def _uniquify(t: PiTerm, env: tuple, gen: _Gensym) -> PiTerm:
-    """Rename every binder to a distinct reserved atom; resolve occurrences
-    innermost-first.  Accepts string or marker binders (and free atoms)."""
+def named(t: PiTerm, tag: str = "s") -> PiTerm:
+    """A congruent term whose binders are distinct reserved atoms
+    ``~<tag>0``, ``~<tag>1``, ... in preorder; occurrences resolve to the
+    innermost binder.  Accepts string or marker binders (and free atoms), so
+    it both separates the binders of a term as written and turns a canonical
+    term's markers back into names reductions can use."""
+    return _named(t, {}, _Gensym(tag))
 
-    def occ(n: PiName) -> PiName:
-        # atoms compare by value, markers by identity; == does both
-        for lvl in range(len(env) - 1, -1, -1):
-            if env[lvl][0] == n:
-                return env[lvl][1]
-        return n
 
+def _named(t: PiTerm, env: dict, gen: _Gensym) -> PiTerm:
+    # env maps each binder in scope to its reserved atom; markers are
+    # interned and compare by identity, atoms by value, so one lookup
+    # serves both
     if isinstance(t, PNil):
         return t
     if isinstance(t, POut):
-        return pout(occ(t.subject), occ(t.obj))
+        return pout(env.get(t.subject, t.subject), env.get(t.obj, t.obj))
     if isinstance(t, PIn):
         fresh = gen()
-        return pin(
-            occ(t.subject), fresh, _uniquify(t.body, env + ((t.binder, fresh),), gen)
-        )
+        body = _named(t.body, {**env, t.binder: fresh}, gen)
+        return pin(env.get(t.subject, t.subject), fresh, body)
     if isinstance(t, PNew):
         fresh = gen()
-        return pnew(fresh, _uniquify(t.body, env + ((t.binder, fresh),), gen))
+        return pnew(fresh, _named(t.body, {**env, t.binder: fresh}, gen))
     if isinstance(t, PRepl):
-        return prepl(_uniquify(t.body, env, gen))
-    return ppar(*(_uniquify(c, env, gen) for c in t.children))
+        return prepl(_named(t.body, env, gen))
+    return ppar(*(_named(c, env, gen) for c in t.children))
 
 
 def _fn_named(t: PiTerm) -> frozenset:
@@ -417,12 +417,12 @@ def pi_canon(t: PiTerm) -> PiTerm:
     cached = _PI_CANON.get(t)
     if cached is not None:
         return cached
-    named = _uniquify(t, (), _Gensym("b"))
+    cur = named(t, "b")
     prev = None
-    while named is not prev:
-        prev = named
-        named = _simp(named)
-    out = _mcanon(named, ())
+    while cur is not prev:
+        prev = cur
+        cur = _simp(cur)
+    out = _mcanon(cur, ())
     _PI_CANON[t] = out
     _PI_CANON[out] = out
     return out
@@ -464,57 +464,30 @@ def pi_free_names(t: PiTerm) -> frozenset:
 def subst_atom(t: PiTerm, new: str, old: str) -> PiTerm:
     """Capture-free substitution of the atom new for free occurrences of the
     atom old; returns a canonical term."""
-    c = pi_canon(t)
+    return pi_canon(_rename_atom(pi_canon(t), new, old))
 
-    def walk(x: PiTerm) -> PiTerm:
-        if isinstance(x, PNil):
-            return x
-        if isinstance(x, POut):
-            return pout(
-                new if x.subject == old else x.subject, new if x.obj == old else x.obj
-            )
-        if isinstance(x, PIn):
-            return pin(new if x.subject == old else x.subject, x.binder, walk(x.body))
-        if isinstance(x, PNew):
-            return pnew(x.binder, walk(x.body))
-        if isinstance(x, PRepl):
-            return prepl(walk(x.body))
-        return ppar(*(walk(ch) for ch in x.children))
 
-    return pi_canon(walk(c))
+def _rename_atom(t: PiTerm, new: str, old: str) -> PiTerm:
+    """Replace every occurrence of the atom old by new in a term whose
+    binders cannot capture or shadow it (canonical markers, or the distinct
+    reserved atoms of ``named``)."""
+    if isinstance(t, PNil):
+        return t
+    if isinstance(t, POut):
+        return pout(new if t.subject == old else t.subject, new if t.obj == old else t.obj)
+    if isinstance(t, PIn):
+        subject = new if t.subject == old else t.subject
+        return pin(subject, t.binder, _rename_atom(t.body, new, old))
+    if isinstance(t, PNew):
+        return pnew(t.binder, _rename_atom(t.body, new, old))
+    if isinstance(t, PRepl):
+        return prepl(_rename_atom(t.body, new, old))
+    return ppar(*(_rename_atom(c, new, old) for c in t.children))
 
 
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------
-
-
-def _name_markers(t: PiTerm, env: tuple, gen: _Gensym) -> PiTerm:
-    """Replace marker binders of a canonical term by fresh reserved atoms
-    (inverse of marker assignment, giving a named term reductions can use)."""
-
-    def occ(n: PiName) -> PiName:
-        if isinstance(n, PiMarker):
-            for lvl in range(len(env) - 1, -1, -1):
-                if env[lvl][0] is n:
-                    return env[lvl][1]
-        return n  # free atoms (and stray markers) pass through
-
-    if isinstance(t, PNil):
-        return t
-    if isinstance(t, POut):
-        return pout(occ(t.subject), occ(t.obj))
-    if isinstance(t, PIn):
-        fresh = gen()
-        return pin(
-            occ(t.subject), fresh, _name_markers(t.body, env + ((t.binder, fresh),), gen)
-        )
-    if isinstance(t, PNew):
-        fresh = gen()
-        return pnew(fresh, _name_markers(t.body, env + ((t.binder, fresh),), gen))
-    if isinstance(t, PRepl):
-        return prepl(_name_markers(t.body, env, gen))
-    return ppar(*(_name_markers(c, env, gen) for c in t.children))
 
 
 def _hoist(t: PiTerm) -> tuple:
@@ -536,22 +509,6 @@ def _hoist(t: PiTerm) -> tuple:
     return ([], [t])
 
 
-def _subst_named(t: PiTerm, new: str, old: str) -> PiTerm:
-    """Substitution on a named term whose binders are globally distinct
-    reserved atoms (so no capture and no shadowing of old)."""
-    if isinstance(t, PNil):
-        return t
-    if isinstance(t, POut):
-        return pout(new if t.subject == old else t.subject, new if t.obj == old else t.obj)
-    if isinstance(t, PIn):
-        return pin(new if t.subject == old else t.subject, t.binder, _subst_named(t.body, new, old))
-    if isinstance(t, PNew):
-        return pnew(t.binder, _subst_named(t.body, new, old))
-    if isinstance(t, PRepl):
-        return prepl(_subst_named(t.body, new, old))
-    return ppar(*(_subst_named(c, new, old) for c in t.children))
-
-
 def pi_step(t: PiTerm) -> list:
     """Canonical one-step reducts of t, deduplicated.
 
@@ -560,10 +517,7 @@ def pi_step(t: PiTerm) -> list:
     step consumed part of it (reductions needing two copies of the same
     replica take two steps).
     """
-    c = pi_canon(t)
-    gen = _Gensym("s")
-    named = _name_markers(c, (), gen)
-    top_binders, plain_items = _hoist(named)
+    top_binders, plain_items = _hoist(named(pi_canon(t)))
 
     # soup: (origin, item); origin is ("plain", idx) or ("inst", repl_idx, k)
     soup: list = []
@@ -588,7 +542,7 @@ def pi_step(t: PiTerm) -> list:
                 continue
             if ini.subject != outj.subject:
                 continue
-            continuation = _subst_named(ini.body, outj.obj, ini.binder)
+            continuation = _rename_atom(ini.body, outj.obj, ini.binder)
             consumed = {oi, oj}
             used_insts = {o[1] for o in consumed if o[0] == "inst"}
             kept: list = [continuation]
@@ -632,13 +586,6 @@ def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:
 
     walk(c)
     return frozenset(acc)
-
-
-def pi_reduction_graph(t: PiTerm, max_states: int = 100_000, max_depth: int = 200):
-    """Bounded reduction graph rooted at the canonical form of t."""
-    from .lts import explore
-
-    return explore(pi_canon(t), pi_step, max_states=max_states, max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .rhoterm import (
-    Drop,
     Input,
     Lift,
     Nil,
@@ -50,7 +49,6 @@ __all__ = [
     "apply_redex",
     "step",
     "barbs",
-    "reduction_graph",
     "OUT",
     "IN",
 ]
@@ -137,13 +135,6 @@ def step(p: RhoProc) -> list:
             seen.add(q)
             out.append(q)
     return out
-
-
-def reduction_graph(p: RhoProc, max_states: int = 100_000, max_depth: int = 200):
-    """Bounded reduction graph rooted at the canonical form of p."""
-    from .lts import explore
-
-    return explore(canon_proc(p), step, max_states=max_states, max_depth=max_depth)
 
 
 def barbs(p: RhoProc, restrict: Optional[Iterable[RhoName]] = None) -> frozenset:

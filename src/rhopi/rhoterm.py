@@ -47,7 +47,7 @@ import bisect
 import heapq
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "RhoTerm",
@@ -75,8 +75,6 @@ __all__ = [
     "struct_eq",
     "name_eq",
     "free_names",
-    "names_in",
-    "fresh_for",
     "subst_syn",
     "subst_sem",
     "quote_depth",
@@ -86,6 +84,7 @@ __all__ = [
     "ncomp",
     "ncomp_power",
     "NamespaceScheme",
+    "peel",
     "ns_member",
     "gen_fresh",
     "proc_size",
@@ -436,43 +435,6 @@ def _collect_free(p: RhoProc, acc: set) -> None:
         _collect_free(child, acc)
 
 
-def names_in(p: RhoProc) -> frozenset:
-    """Every name appearing in p as written — free occurrences AND binders —
-    canonicalized.  Marker binders of internal forms are skipped (they are
-    not names a fresh name could collide with)."""
-    acc: set = set()
-
-    def walk(t: RhoProc) -> None:
-        if isinstance(t, Nil):
-            return
-        if isinstance(t, Drop):
-            if isinstance(t.name, Quote):
-                acc.add(canon_name(t.name))
-        elif isinstance(t, Lift):
-            if isinstance(t.subject, Quote):
-                acc.add(canon_name(t.subject))
-            walk(t.body)
-        elif isinstance(t, Input):
-            if isinstance(t.subject, Quote):
-                acc.add(canon_name(t.subject))
-            if isinstance(t.binder, Quote):
-                acc.add(canon_name(t.binder))
-            walk(t.body)
-        else:
-            for child in t.children:
-                walk(child)
-
-    walk(p)
-    return frozenset(acc)
-
-
-def fresh_for(x: RhoName, p: RhoProc) -> bool:
-    """True when x is not name-equivalent to any name occurring in p
-    (free or binding)."""
-    cx = canon_name(x)
-    return cx not in names_in(p)
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -607,30 +569,25 @@ class NamespaceScheme(Enum):
     COMPOSITION = "composition"
 
 
-def _peel_left(x: RhoName) -> Optional[RhoName]:
-    if isinstance(x, Quote) and isinstance(x.body, Lift) and isinstance(x.body.body, Nil):
-        return x.body.subject
-    return None
-
-
-def _peel_right(x: RhoName) -> Optional[RhoName]:
-    if isinstance(x, Quote) and isinstance(x.body, Input) and isinstance(x.body.body, Nil):
-        return x.body.subject
-    return None
-
-
-def _peel_comp(x: RhoName) -> Optional[tuple]:
-    if not (isinstance(x, Quote) and isinstance(x.body, Par)):
+def peel(x: RhoName) -> Optional[tuple]:
+    """Undo one quoting template on a canonical name: (LEFT_INCREMENT, (y,))
+    for lincr(y), (RIGHT_INCREMENT, (y,)) for rincr(y), (COMPOSITION, (y, z))
+    for ncomp(y, z), and None for any other name."""
+    if not isinstance(x, Quote):
         return None
-    kids = x.body.children
-    if len(kids) != 2:
+    body = x.body
+    if isinstance(body, Lift) and isinstance(body.body, Nil):
+        return (NamespaceScheme.LEFT_INCREMENT, (body.subject,))
+    if isinstance(body, Input) and isinstance(body.body, Nil):
+        return (NamespaceScheme.RIGHT_INCREMENT, (body.subject,))
+    if not (isinstance(body, Par) and len(body.children) == 2):
         return None
-    out_part, in_part = kids  # canonical order puts the lift first
+    out_part, in_part = body.children  # canonical order puts the lift first
     if not (isinstance(out_part, Lift) and isinstance(out_part.body, Nil)):
         return None
     if not (isinstance(in_part, Input) and isinstance(in_part.body, Nil)):
         return None
-    return (out_part.subject, in_part.subject)
+    return (NamespaceScheme.COMPOSITION, (out_part.subject, in_part.subject))
 
 
 def ns_member(root: RhoName, scheme: NamespaceScheme, x: RhoName) -> bool:
@@ -639,33 +596,19 @@ def ns_member(root: RhoName, scheme: NamespaceScheme, x: RhoName) -> bool:
     scheme both recursive positions must again be members, mirroring the
     template grammar whose every hole is filled from the same root."""
     croot = canon_name(root)
-    c = canon_name(x)
-    if scheme is NamespaceScheme.LEFT_INCREMENT:
-        while True:
-            if c is croot:
-                return True
-            nxt = _peel_left(c)
-            if nxt is None:
-                return False
-            c = nxt
-    if scheme is NamespaceScheme.RIGHT_INCREMENT:
-        while True:
-            if c is croot:
-                return True
-            nxt = _peel_right(c)
-            if nxt is None:
-                return False
-            c = nxt
-    # composition
-    def member(n: RhoName) -> bool:
-        if n is croot:
-            return True
-        parts = _peel_comp(n)
-        if parts is None:
-            return False
-        return member(parts[0]) and member(parts[1])
 
-    return member(c)
+    def member(n: RhoName) -> bool:
+        # follow the last position iteratively, recurse into the others
+        while n is not croot:
+            got = peel(n)
+            if got is None or got[0] is not scheme:
+                return False
+            *others, n = got[1]
+            if not all(member(m) for m in others):
+                return False
+        return True
+
+    return member(canon_name(x))
 
 
 def gen_fresh(avoid: Iterable[RhoName]) -> RhoName:
@@ -714,23 +657,21 @@ def show_name(x: RhoName) -> str:
     return f"@({show_proc(x.body)})"
 
 
-def show_proc(p: RhoProc) -> str:
-    """Concrete syntax for a process; parses back to the same canonical term."""
+def show_proc(p: RhoProc, name: Callable[[RhoName], str] = show_name) -> str:
+    """Concrete syntax for a process; parses back to the same canonical term.
+    name renders each name position (binders included)."""
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Drop):
-        return f"*{show_name(p.name)}"
+        return f"*{name(p.name)}"
     if isinstance(p, Lift):
-        return f"{show_name(p.subject)}!({show_proc(p.body)})"
+        return f"{name(p.subject)}!({show_proc(p.body, name)})"
     if isinstance(p, Input):
-        if isinstance(p.binder, BoundMarker):
-            bound = f"y{p.binder.index}"
-        else:
-            bound = show_name(p.binder)
-        body = show_proc(p.body)
+        body = show_proc(p.body, name)
         if isinstance(p.body, Par):
             body = f"({body})"
-        return f"{show_name(p.subject)}?({bound}).{body}"
+        return f"{name(p.subject)}?({name(p.binder)}).{body}"
     return " | ".join(
-        f"({show_proc(c)})" if isinstance(c, Par) else show_proc(c) for c in p.children
+        f"({show_proc(c, name)})" if isinstance(c, Par) else show_proc(c, name)
+        for c in p.children
     )

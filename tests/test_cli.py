@@ -216,6 +216,13 @@ def test_diverge_name_passing(capsys):
     code, out, _ = run(capsys, "diverge", "x!a | x?(y).0", "--calculus", "pi")
     assert code == 0
     assert out.strip() == "terminates"
+    # the rule is reported as in the reflective calculus
+    code, out, _ = run(capsys, "diverge", "!x?(y).x!a | x!a", "--calculus", "pi")
+    assert out.strip() == "diverges (cycle)"
+    code, out, _ = run(
+        capsys, "diverge", "!x?(y).x!a | x!a", "--calculus", "pi", "--json"
+    )
+    assert json.loads(out)["rule"] == "cycle"
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,25 @@ def test_every_subcommand_prints_json(tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--json")
         assert code in (0, 1, 2), argv
         json.loads(out)
+
+
+def test_deeply_nested_terms_are_a_usage_error(capsys):
+    name = "@0"
+    for _ in range(2000):
+        name = f"@({name}!(0))"
+    proc = f"{name}!(0)"
+    for argv in (
+        ("parse", proc),
+        ("qdepth", name, "--name"),
+        ("nameq", name, "@0"),
+        ("reduce", proc),
+    ):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2, argv
+            assert "too deeply" in err
+            if extra:
+                assert "too deeply" in json.loads(out)["error"]
 
 
 # ---------------------------------------------------------------------------

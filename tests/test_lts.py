@@ -1,6 +1,7 @@
 """Exploration-engine tests over a toy integer calculus: bounded
 breadth-first graphs, truncation accounting, shortest traces, and the
-three-valued weak-observation search."""
+three-valued weak-observation search, and exploration cut short by a stop
+predicate."""
 
 from rhopi.lts import Lts, Verdict, explore, weak_barb_search
 
@@ -82,6 +83,36 @@ def test_trace_to_follows_shortest_paths():
 def test_index_maps_states_to_positions():
     g = explore(0, chain_step(3))
     assert all(g.states[g.index[s]] == s for s in g.states)
+
+
+# ---------------------------------------------------------------------------
+# explore with a stop predicate
+# ---------------------------------------------------------------------------
+
+
+def test_stop_at_the_root_expands_nothing():
+    g = explore(0, chain_step(10), stop=lambda n: n == 0)
+    assert g.hit == 0
+    assert g.states == [0]
+    assert g.edges == [[]]
+
+
+def test_stop_mid_graph_gives_a_shortest_trace():
+    g = explore(1, branching_step, stop=lambda n: n == 9)
+    assert g.states[g.hit] == 9
+    assert g.trace_to(g.hit) == [1, 2, 4, 9]
+    assert g.depths[g.hit] == 3
+    # the hit is not expanded: 9's successors are never discovered
+    assert 18 not in g.index and 19 not in g.index
+
+
+def test_stop_never_true_matches_plain_explore():
+    plain = explore(1, branching_step, max_states=40)
+    stopped = explore(1, branching_step, max_states=40, stop=lambda n: False)
+    assert stopped.hit is None and plain.hit is None
+    assert stopped.states == plain.states
+    assert stopped.edges == plain.edges
+    assert stopped.truncated == plain.truncated
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Name-passing-calculus tests: canonicalization (unused restrictions erased,
 restriction order irrelevant, parallel flattening), one-step reduction with
-single-unfold replication, barbs under restriction, and capture-free atom
-substitution."""
+single-unfold replication, barbs under restriction, capture-free atom
+substitution, and the named form canonicalization and reduction share."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhopi.harness import random_pi_term
+from rhopi.harness import make_corpus, random_pi_term
+from rhopi.lts import explore
 from rhopi.piterm import (
+    named,
     pi_barbs,
     pi_canon,
     pi_eq,
@@ -172,6 +174,25 @@ def test_subst_atom_respects_binders():
 def test_subst_atom_on_restricted_name_is_identity():
     t = pnew("z", pout("z", "a"))
     assert subst_atom(t, "w", "z") is pi_canon(t)
+
+
+# ---------------------------------------------------------------------------
+# Named forms
+# ---------------------------------------------------------------------------
+
+
+def test_named_round_trips_every_reachable_corpus_state():
+    seen = set()
+    for t in make_corpus(seed=1, count=50, size_limit=10).terms:
+        seen.update(explore(pi_canon(t), pi_step, max_states=600, max_depth=60).states)
+    assert len(seen) > 50
+    for s in seen:
+        assert pi_canon(named(s)) is s
+
+
+def test_named_resolves_to_the_innermost_binder():
+    t = pin("x", "y", pin("y", "y", pout("y", "x")))
+    assert named(t, "q") is pin("x", "~q0", pin("~q0", "~q1", pout("~q1", "x")))
 
 
 # ---------------------------------------------------------------------------

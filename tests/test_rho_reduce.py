@@ -7,12 +7,12 @@ import pytest
 
 import rhopi
 from rhopi import equiv, harness
+from rhopi.lts import explore
 from rhopi.rhoreduce import (
     apply_redex,
     barbs,
     components,
     redexes,
-    reduction_graph,
     step,
 )
 from rhopi.rhoterm import (
@@ -136,7 +136,7 @@ def test_barbs_restriction_filters_by_equivalence():
 def test_reduction_graph_handles_self_loops():
     rearm = inp(xn, b, par(drop(b), lift(xn, drop(b))))
     omega = par(rearm, lift(xn, rearm))
-    g = reduction_graph(omega, max_states=10, max_depth=10)
+    g = explore(canon_proc(omega), step, max_states=10, max_depth=10)
     assert len(g.states) == 1
     assert g.edges[0] == [0]
     assert not g.truncated
@@ -148,10 +148,10 @@ def test_reduction_graph_truncates_at_bounds():
         lift(xn, nil()),
         inp(xn, b, par(lift(yn, nil()), inp(yn, b, lift(zn, nil())))),
     )
-    g_full = reduction_graph(chain)
+    g_full = explore(canon_proc(chain), step)
     assert not g_full.truncated
     assert len(g_full.states) == 3
-    g_cut = reduction_graph(chain, max_states=2, max_depth=10)
+    g_cut = explore(canon_proc(chain), step, max_states=2, max_depth=10)
     assert g_cut.truncated
     assert len(g_cut.states) == 2
 

@@ -30,6 +30,7 @@ from rhopi.rhoterm import (
     nil,
     ns_member,
     par,
+    peel,
     proc_size,
     quote,
     quote_depth,
@@ -209,6 +210,15 @@ def test_namespace_membership_composition():
     assert not ns_member(s, NamespaceScheme.COMPOSITION, ncomp(s, zn))
     for k in (1, 2, 3):
         assert ns_member(s, NamespaceScheme.COMPOSITION, ncomp_power(s, k))
+
+
+def test_peel_undoes_one_template():
+    assert peel(lincr(yn)) == (NamespaceScheme.LEFT_INCREMENT, (yn,))
+    assert peel(rincr(yn)) == (NamespaceScheme.RIGHT_INCREMENT, (yn,))
+    assert peel(ncomp(yn, zn)) == (NamespaceScheme.COMPOSITION, (yn, zn))
+    assert peel(lincr(rincr(yn))) == (NamespaceScheme.LEFT_INCREMENT, (rincr(yn),))
+    assert peel(NULL_NAME) is None
+    assert peel(canon_name(quote(lift(yn, drop(zn))))) is None
 
 
 # ---------------------------------------------------------------------------
