@@ -115,15 +115,16 @@ from . import rhoterm as _rhoterm
 
 __version__ = "0.1.0"
 
-# memo tables derived from interned terms, by the function that fills them;
-# the intern tables themselves are not listed (see clear_caches)
+# memo tables derived from interned terms, as each module lists them; the
+# intern tables themselves are not listed (see clear_caches)
 _DERIVED_CACHES = {
-    "rhoterm.canon_proc": _rhoterm._CANON_PROC,
-    "rhoterm.canon_name": _rhoterm._CANON_NAME,
-    "rhoterm.free_names": _rhoterm._FREE,
-    "rhoterm.quote_depth": _rhoterm._QDEPTH,
-    "rhoreduce.continuation": _rhoreduce._CONTINUATION,
-    "piterm.pi_canon": _piterm._PI_CANON,
+    f"{module}.{name}": table
+    for module, tables in (
+        ("rhoterm", _rhoterm.DERIVED_CACHES),
+        ("rhoreduce", _rhoreduce.DERIVED_CACHES),
+        ("piterm", _piterm.DERIVED_CACHES),
+    )
+    for name, table in tables.items()
 }
 
 

@@ -687,6 +687,9 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    for flag, value in (("--count", args.count), ("--size", args.size)):
+        if value < 1:
+            return _error(args, f"{flag} must be at least 1, got {value}", 2)
     rep = check_criteria(seed=args.seed, count=args.count, size=args.size)
     return _report_out(args, rep)
 

@@ -1035,18 +1035,14 @@ def check_criteria(
         t = tallies[k]
         total += sum(t.values())
         unknowns += t[UNKNOWN]
-        checks.append(
-            Check(
-                f"{k}: {label}",
-                FAIL if t[FAIL] else PASS,
-                {"tally": dict(t), "samples": samples[k]},
-            )
-        )
+        # a property holds only if some check of it ran and held
+        verdict = FAIL if t[FAIL] else PASS if t[PASS] else UNKNOWN
+        checks.append(Check(f"{k}: {label}", verdict, {"tally": dict(t), "samples": samples[k]}))
     rate = unknowns / total if total else 0.0
     checks.append(
         Check(
             "unknown rate below 20%",
-            PASS if rate < 0.2 else FAIL,
+            UNKNOWN if not total else PASS if rate < 0.2 else FAIL,
             {"unknown_rate": round(rate, 4), "checks_run": total},
         )
     )

@@ -23,6 +23,18 @@ parallel, restriction, and congruence, plus unfolding of replication.  A step
 computation unfolds each replicated component exactly once: two cooperating
 copies of the same replica need two steps, one to materialize each copy.
 
+A successor is built from the top-level children its redex touches, not
+from the whole state.  A canonical state is a key-sorted parallel of
+children, each a free guard or a restriction block over one connected
+group; children share no bound names and each is canonical on its own, so
+the canonical form of a composition is the key-sorted merge of its parts'
+children.  Each child's named decomposition (binders, items, one unfolded
+copy of each replica) is memoised; a redex rebuilds only the one or two
+children it consumes from, named apart, canonicalizes that small body with
+the continuation and merges the result into the untouched children.  Every
+child names its binders from the same reserved atoms, so two children meet
+only on a free subject.
+
 Like the reflective-term module, nodes are interned so canonical-form
 equality is object identity.
 """
@@ -30,6 +42,7 @@ equality is object identity.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 __all__ = [
@@ -142,8 +155,7 @@ def _pmk(cls, fields: tuple, key: tuple, hsh: int):
     node = _PINTERN.get(ident)
     if node is None:
         fresh = cls.__new__(cls)
-        slots = [s for s in cls.__slots__ if s not in ("key", "_hash")]
-        for slot, value in zip(slots, fields):
+        for slot, value in zip(cls.__slots__, fields):
             setattr(fresh, slot, value)
         fresh.key = key
         fresh._hash = hsh
@@ -509,6 +521,44 @@ def _hoist(t: PiTerm) -> tuple:
     return ([], [t])
 
 
+# (canonical top-level child, naming tag) -> its hoisted named decomposition
+_GROUPS: dict = {}
+
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
+#: the intern table is not one (``rhopi.clear_caches`` says why)
+DERIVED_CACHES = {"pi_canon": _PI_CANON, "groups": _GROUPS}
+
+
+def _group(child: PiTerm, tag: str) -> tuple:
+    """The hoisted named decomposition of one canonical top-level child,
+    memoised: (binders, items, instances, soup).  ``instances`` maps the
+    index of each replicated item to the (binders, items) of one unfolded
+    copy; ``soup`` lists every (origin, item) a redex can use, an item's
+    origin being its index and an instance item's ``(replica index, k)``."""
+    entry = _GROUPS.get((child, tag))
+    if entry is None:
+        binders, items = _hoist(named(child, tag))
+        instances: dict = {}
+        soup: list = []
+        for idx, item in enumerate(items):
+            soup.append((idx, item))
+            if isinstance(item, PRepl):
+                instances[idx] = _hoist(item.body)
+                soup.extend(((idx, k), sub) for k, sub in enumerate(instances[idx][1]))
+        entry = (binders, items, instances, soup)
+        _GROUPS[(child, tag)] = entry
+    return entry
+
+
+def _soup_item(group: tuple, origin) -> PiTerm:
+    if isinstance(origin, tuple):
+        return group[2][origin[0]][1][origin[1]]
+    return group[1][origin]
+
+
+_BY_KEY = attrgetter("key")
+
+
 def pi_step(t: PiTerm) -> list:
     """Canonical one-step reducts of t, deduplicated.
 
@@ -517,50 +567,67 @@ def pi_step(t: PiTerm) -> list:
     step consumed part of it (reductions needing two copies of the same
     replica take two steps).
     """
-    top_binders, plain_items = _hoist(named(pi_canon(t)))
-
-    # soup: (origin, item); origin is ("plain", idx) or ("inst", repl_idx, k)
-    soup: list = []
-    inst_binders: dict = {}
-    inst_items: dict = {}
-    for idx, item in enumerate(plain_items):
-        soup.append((("plain", idx), item))
-        if isinstance(item, PRepl):
-            b, items = _hoist(item.body)
-            inst_binders[idx] = b
-            inst_items[idx] = items
-            for k, sub in enumerate(items):
-                soup.append((("inst", idx, k), sub))
+    c = pi_canon(t)
+    children = c.children if isinstance(c, PPar) else () if isinstance(c, PNil) else (c,)
+    groups = [_group(child, "s") for child in children]
+    # every child names its binders from ~s0, so equal reserved atoms in two
+    # children are two different names: only a free subject links children
+    soup = [(g, o, item) for g, group in enumerate(groups) for o, item in group[3]]
 
     successors: list = []
     seen = set()
-    for i, (oi, ini) in enumerate(soup):
+    for gi, oi, ini in soup:
         if not isinstance(ini, PIn):
             continue
-        for j, (oj, outj) in enumerate(soup):
-            if i == j or not isinstance(outj, POut):
+        for gj, oj, outj in soup:
+            if not isinstance(outj, POut) or ini.subject != outj.subject:
                 continue
-            if ini.subject != outj.subject:
+            if gi == gj:
+                touched = [(gi, groups[gi], {oi, oj})]
+            elif ini.subject.startswith(_RESERVED_PREFIX):
                 continue
-            continuation = _rename_atom(ini.body, outj.obj, ini.binder)
-            consumed = {oi, oj}
-            used_insts = {o[1] for o in consumed if o[0] == "inst"}
-            kept: list = [continuation]
-            for idx, item in enumerate(plain_items):
-                if ("plain", idx) not in consumed:
-                    kept.append(item)
-            for idx in used_insts:
-                for k, sub in enumerate(inst_items[idx]):
-                    if ("inst", idx, k) not in consumed:
-                        kept.append(sub)
-            body = ppar(*kept)
-            for b in reversed(top_binders + [x for idx in used_insts for x in inst_binders[idx]]):
-                body = pnew(b, body)
-            succ = pi_canon(body)
+            else:
+                # the sender's child is renamed apart so that an extruded
+                # binder cannot meet a binder of the receiver's child
+                other = _group(children[gj], "t")
+                outj = _soup_item(other, oj)
+                touched = sorted([(gi, groups[gi], {oi}), (gj, other, {oj})])
+            succ = _reduct(children, touched, _rename_atom(ini.body, outj.obj, ini.binder))
             if succ not in seen:
                 seen.add(succ)
                 successors.append(succ)
     return successors
+
+
+def _reduct(children: tuple, touched: list, continuation: PiTerm) -> PiTerm:
+    """The canonical state after a redex: the touched children, less the
+    consumed items and plus the continuation and the rest of every unfolded
+    instance, are canonicalized together and merged by key into the
+    untouched children, which are canonical on their own."""
+    binders: list = []
+    kept: list = [continuation]
+    for _, (g_binders, items, _, _), consumed in touched:
+        binders.extend(g_binders)
+        kept.extend(item for idx, item in enumerate(items) if idx not in consumed)
+    for _, (_, _, instances, _), consumed in touched:
+        for idx in sorted({o[0] for o in consumed if isinstance(o, tuple)}):
+            i_binders, i_items = instances[idx]
+            binders.extend(i_binders)
+            kept.extend(sub for k, sub in enumerate(i_items) if (idx, k) not in consumed)
+    body = ppar(*kept)
+    for b in reversed(binders):
+        body = pnew(b, body)
+    part = pi_canon(body)
+    gone = {g for g, _, _ in touched}
+    kids = [child for g, child in enumerate(children) if g not in gone]
+    if isinstance(part, PPar):
+        kids.extend(part.children)
+    elif not isinstance(part, PNil):
+        kids.append(part)
+    kids.sort(key=_BY_KEY)
+    out = ppar(*kids)
+    _PI_CANON[out] = out
+    return out
 
 
 def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:

@@ -95,6 +95,9 @@ def redexes(p: RhoProc) -> list:
 # (input node, lift node) -> canonical continuation of their communication
 _CONTINUATION: dict = {}
 
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them
+DERIVED_CACHES = {"continuation": _CONTINUATION}
+
 
 def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
     """The canonical reduct of the state whose canonical components are comps

@@ -507,6 +507,15 @@ def subst_marker(body: RhoProc, payload: RhoName, level: int) -> RhoProc:
 
 _QDEPTH: dict = {}
 
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
+#: the intern table is not one (``rhopi.clear_caches`` says why)
+DERIVED_CACHES = {
+    "canon_proc": _CANON_PROC,
+    "canon_name": _CANON_NAME,
+    "free_names": _FREE,
+    "quote_depth": _QDEPTH,
+}
+
 
 def quote_depth(x: RhoName) -> int:
     """Nesting depth of quotes in a name, invariant under name equivalence:

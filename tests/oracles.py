@@ -416,3 +416,96 @@ def to_pkg_name(n, env: dict | None = None):
     if n[0] == "var":
         return env[n[1]]
     return quote(to_pkg_proc(n[1], {}, 0))
+
+
+# ---------------------------------------------------------------------------
+# Name-passing reduction on the whole state
+# ---------------------------------------------------------------------------
+
+
+def _pi_hoist(t) -> tuple:
+    """(restricted atoms, parallel items) of a named pi term, hoisting
+    restrictions through parallel composition only (never past a guard)."""
+    from rhopi.piterm import PNew, PNil, PPar
+
+    if isinstance(t, PNil):
+        return ([], [])
+    if isinstance(t, PNew):
+        binders, items = _pi_hoist(t.body)
+        return ([t.binder] + binders, items)
+    if isinstance(t, PPar):
+        binders, items = [], []
+        for c in t.children:
+            b, i = _pi_hoist(c)
+            binders.extend(b)
+            items.extend(i)
+        return (binders, items)
+    return ([], [t])
+
+
+def _pi_rename(t, new: str, old: str):
+    """Replace every occurrence of the atom old by new in a named pi term
+    (its binders are distinct reserved atoms, so nothing is captured)."""
+    from rhopi.piterm import PIn, PNew, PNil, POut, PRepl, pin, pnew, pout, ppar, prepl
+
+    def nm(n):
+        return new if n == old else n
+
+    if isinstance(t, PNil):
+        return t
+    if isinstance(t, POut):
+        return pout(nm(t.subject), nm(t.obj))
+    if isinstance(t, PIn):
+        return pin(nm(t.subject), t.binder, _pi_rename(t.body, new, old))
+    if isinstance(t, PNew):
+        return pnew(t.binder, _pi_rename(t.body, new, old))
+    if isinstance(t, PRepl):
+        return prepl(_pi_rename(t.body, new, old))
+    return ppar(*(_pi_rename(c, new, old) for c in t.children))
+
+
+def reference_pi_step(t) -> list:
+    """Canonical one-step reducts of a pi term, deduplicated, in the order
+    ``pi_step`` lists them: name every binder of the canonical state apart,
+    hoist its restrictions, unfold each replica once beside it, and for each
+    input/output pair on one subject (inputs in item order, then outputs in
+    item order) rebuild the whole state and canonicalize it."""
+    from rhopi.piterm import PIn, POut, PRepl, named, pi_canon, pnew, ppar
+
+    top_binders, plain_items = _pi_hoist(named(pi_canon(t)))
+
+    # soup: (origin, item); origin is ("plain", idx) or ("inst", repl_idx, k)
+    soup = []
+    inst_binders = {}
+    inst_items = {}
+    for idx, item in enumerate(plain_items):
+        soup.append((("plain", idx), item))
+        if isinstance(item, PRepl):
+            inst_binders[idx], inst_items[idx] = _pi_hoist(item.body)
+            for k, sub in enumerate(inst_items[idx]):
+                soup.append((("inst", idx, k), sub))
+
+    successors = []
+    seen = set()
+    for oi, ini in soup:
+        if not isinstance(ini, PIn):
+            continue
+        for oj, outj in soup:
+            if not isinstance(outj, POut) or ini.subject != outj.subject:
+                continue
+            consumed = {oi, oj}
+            used_insts = sorted({o[1] for o in consumed if o[0] == "inst"})
+            kept = [_pi_rename(ini.body, outj.obj, ini.binder)]
+            kept += [item for idx, item in enumerate(plain_items) if ("plain", idx) not in consumed]
+            for idx in used_insts:
+                kept += [
+                    sub for k, sub in enumerate(inst_items[idx]) if ("inst", idx, k) not in consumed
+                ]
+            body = ppar(*kept)
+            for b in reversed(top_binders + [x for idx in used_insts for x in inst_binders[idx]]):
+                body = pnew(b, body)
+            succ = pi_canon(body)
+            if succ not in seen:
+                seen.add(succ)
+                successors.append(succ)
+    return successors

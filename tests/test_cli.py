@@ -246,6 +246,17 @@ def test_criteria_small_run(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-1"), ("--size", "0")])
+def test_criteria_refuses_an_empty_corpus(capsys, flag, value):
+    code, out, err = run(capsys, "criteria", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+    code, out, _ = run(capsys, "criteria", flag, value, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": f"{flag} must be at least 1, got {value}"}
+
+
 # ---------------------------------------------------------------------------
 # JSON mode
 # ---------------------------------------------------------------------------

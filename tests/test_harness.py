@@ -14,6 +14,7 @@ from rhopi.harness import (
     UNKNOWN,
     BoundsTooSmall,
     Check,
+    Corpus,
     Report,
     check_criteria,
     make_corpus,
@@ -22,7 +23,7 @@ from rhopi.harness import (
     repro_cex2,
     repro_separation_witness,
 )
-from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_canon, show_pi
+from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_canon, pout, prepl, show_pi
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,7 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     assert stats["rhoterm.canon_proc"] > 0
     assert stats["rhoreduce.continuation"] > 0
     assert stats["piterm.pi_canon"] > 0
+    assert stats["piterm.groups"] > 0
 
     rhopi.clear_caches()
     assert set(rhopi.cache_stats().values()) == {0}
@@ -158,6 +160,19 @@ def test_criteria_suite_small_run_is_deterministic():
     db.pop("elapsed_seconds", None)
     assert da == db
     json.dumps(da)
+
+
+def test_criteria_without_a_decided_check_is_unknown():
+    # no term at all, and one term the translation refuses (replicated output)
+    empty = check_criteria(count=0)
+    refused = check_criteria(corpus=Corpus(seed=1, size_limit=5, terms=[prepl(pout("x", "a"))]))
+    for rep in (empty, refused):
+        assert [c.verdict for c in rep.checks[:5]] == [UNKNOWN] * 5
+        assert not rep.passed
+        assert rep.summary_lines()[0] == "[FAIL] criteria"
+    assert empty.checks[5].verdict == UNKNOWN
+    assert empty.checks[5].evidence["checks_run"] == 0
+    assert refused.checks[5].verdict == FAIL
 
 
 def test_criteria_suite_reports_six_checks():

@@ -1,13 +1,18 @@
 """Name-passing-calculus tests: canonicalization (unused restrictions erased,
 restriction order irrelevant, parallel flattening), one-step reduction with
 single-unfold replication, barbs under restriction, capture-free atom
-substitution, and the named form canonicalization and reduction share."""
+substitution, the named form canonicalization and reduction share, and the
+incremental successors against whole-state reduction."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhopi
+from oracles import reference_pi_step
+from rhopi.cli import parse_pi
 from rhopi.harness import make_corpus, random_pi_term
 from rhopi.lts import explore
 from rhopi.piterm import (
@@ -193,6 +198,93 @@ def test_named_round_trips_every_reachable_corpus_state():
 def test_named_resolves_to_the_innermost_binder():
     t = pin("x", "y", pin("y", "y", pout("y", "x")))
     assert named(t, "q") is pin("x", "~q0", pin("~q0", "~q1", pout("~q1", "x")))
+
+
+# ---------------------------------------------------------------------------
+# Incremental successors agree with whole-state reduction
+# ---------------------------------------------------------------------------
+
+
+def assert_steps_match_reference(states):
+    """pi_step lists the same successors in the same order as the
+    whole-state reference; the reference runs from cold caches, so no
+    canonical form pi_step seeded is reused."""
+    got = [pi_step(s) for s in states]
+    rhopi.clear_caches()
+    for s, succs in zip(states, got):
+        want = reference_pi_step(s)
+        assert len(succs) == len(want), show_pi(s)
+        assert all(g is w for g, w in zip(succs, want)), show_pi(s)
+        for q in succs:
+            assert pi_canon(q) is q
+
+
+def reachable(*terms):
+    seen = {}
+    for t in terms:
+        for s in explore(pi_canon(t), pi_step, max_states=600, max_depth=60).states:
+            seen[s] = None
+    return list(seen)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("size", [10, 20])
+def test_step_matches_whole_state_reduction_on_corpus_states(seed, size):
+    states = reachable(*make_corpus(seed=seed, count=50, size_limit=size).terms)
+    assert len(states) > 50
+    assert_steps_match_reference(states)
+
+
+def handshake(relayed=None):
+    """P_4 runs a_i!b | a_i?(x).c_i!x for i < 4; Q_4 (relayed=2) routes c_2's
+    payload through a private channel, so its states mix free guards and
+    restricted groups."""
+
+    def component(i):
+        cont = "new z.(z!x | z?(y).c%d!y)" % i if i == relayed else "c%d!x" % i
+        return "a%d!b | a%d?(x).%s" % (i, i, cont)
+
+    return parse_pi(" | ".join(component(i) for i in (2, 0, 3, 1)))
+
+
+def test_step_matches_whole_state_reduction_on_handshakes():
+    p, q = reachable(handshake()), reachable(handshake(relayed=2))
+    assert (len(p), len(q)) == (16, 24)
+    assert_steps_match_reference(p)
+    assert_steps_match_reference(q)
+
+
+HAND_BUILT_PI = {
+    "equal bound subjects in two groups": "new x.(x!a) | new x.(x?(y).0)",
+    "two copies of one group": "new x.(x!a | x?(y).y!b) | new x.(x!a | x?(y).y!b)",
+    "scope extrusion": "new x.(c!x | x?(y).0) | c?(v).v!v",
+    "replica joined with another group": "new x.(!x?(y).c!y | x!a) | c?(v).v!v | new x.(x!b)",
+    "replicated restriction extruded": "!new x.(c!x) | c?(v).(v!v | v?(w).0)",
+    # both groups call their binder ~s0 when named on their own
+    "extruded name meets a private name": "new x.(c!x | x?(y).y!y) | new r.(c?(v).v!r | r?(w).0)",
+}
+
+
+@pytest.mark.parametrize("label", sorted(HAND_BUILT_PI))
+def test_step_matches_whole_state_reduction_on_hand_built_cases(label):
+    states = reachable(parse_pi(HAND_BUILT_PI[label]))
+    assert_steps_match_reference(states)
+
+
+def test_clearing_caches_mid_exploration_keeps_the_graph():
+    root = pi_canon(handshake(relayed=2))
+    warm = explore(root, pi_step, max_states=600, max_depth=60)
+
+    def clearing_step(s):
+        succs = pi_step(s)
+        rhopi.clear_caches()
+        return succs
+
+    rhopi.clear_caches()
+    cold = explore(root, clearing_step, max_states=600, max_depth=60)
+    assert len(warm.states) == 24
+    assert cold.states == warm.states
+    assert cold.edges == warm.edges
 
 
 # ---------------------------------------------------------------------------
