@@ -154,7 +154,15 @@ class Report:
         }
 
     def summary_lines(self) -> list:
-        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
+        """A header, then one line per check.  The header is PASS when every
+        check passed, FAIL when some check failed, and UNKNOWN otherwise."""
+        if self.passed:
+            head = "PASS"
+        elif any(c.verdict == FAIL for c in self.checks):
+            head = "FAIL"
+        else:
+            head = "UNKNOWN"
+        lines = [f"[{head}] {self.name}"]
         for c in self.checks:
             lines.append(f"  {c.verdict:7s} {c.label}")
         return lines

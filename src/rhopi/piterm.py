@@ -154,13 +154,20 @@ def _pmk(cls, fields: tuple, key: tuple, hsh: int):
     ident = (cls, *fields)
     node = _PINTERN.get(ident)
     if node is None:
-        fresh = cls.__new__(cls)
-        for slot, value in zip(cls.__slots__, fields):
-            setattr(fresh, slot, value)
-        fresh.key = key
-        fresh._hash = hsh
-        node = _PINTERN.setdefault(ident, fresh)
+        node = _padd(ident, key, hsh)
     return node
+
+
+def _padd(ident: tuple, key: tuple, hsh: int):
+    """Build and intern the node that ident, ``(class, *fields)``, names;
+    the caller found no entry for it in ``_PINTERN``."""
+    cls = ident[0]
+    fresh = cls.__new__(cls)
+    for slot, value in zip(cls.__slots__, ident[1:]):
+        setattr(fresh, slot, value)
+    fresh.key = key
+    fresh._hash = hsh
+    return _PINTERN.setdefault(ident, fresh)
 
 
 def _name_key(n: PiName) -> tuple:
@@ -219,8 +226,13 @@ def ppar(*children: PiTerm) -> PiTerm:
         return _PNIL
     if len(children) == 1:
         return children[0]
-    key = (5, *(c.key for c in children))
-    return _pmk(PPar, (tuple(children),), key, hash((_PSALT[PPar], *(c._hash for c in children))))
+    # look the node up before paying for its key and hash, as ``rhoterm.par``
+    ident = (PPar, children)
+    node = _PINTERN.get(ident)
+    if node is None:
+        key = (5, *(c.key for c in children))
+        node = _padd(ident, key, hash((_PSALT[PPar], *(c._hash for c in children))))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ subjects.
 
 The continuation P{@Q / y} depends only on the interned pair of input and
 lift nodes, never on the rest of the state, so it is computed once per pair
-and memoised.  A successor is then built by merging that canonical
-continuation into the already-sorted canonical rest of the state
-(``canon_par_into``), never by canonicalizing the whole state again.
+and memoised.  A successor is then built by inserting that canonical
+continuation's components into a copy of the already-sorted canonical rest
+of the state (``canon_par_into``), never by canonicalizing the whole state
+again.  Canonical order puts equal components next to each other, so a
+redex whose input or lift is the same node as its left neighbour repeats an
+earlier (input, lift) pair and is skipped.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
@@ -25,8 +28,7 @@ its subject, in both cases up to name equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .rhoterm import (
     Input,
@@ -67,8 +69,7 @@ def components(p: RhoProc) -> tuple:
     return (cp,)
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     """A communication opportunity between two top-level components:
     components[input_index] is an input and components[lift_index] a lift on
     an equivalent subject."""
@@ -111,8 +112,8 @@ def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
         # canonical name, a dropped binder becomes the lifted body as written
         continuation = subst_marker(inode.body, quote(onode.body), inode.binder.index)
         _CONTINUATION[pair] = continuation
-    rest = [c for k, c in enumerate(comps) if k != i and k != j]
-    return canon_par_into(rest, continuation)
+    lo, hi = (i, j) if i < j else (j, i)
+    return canon_par_into(comps[:lo] + comps[lo + 1 : hi] + comps[hi + 1 :], continuation)
 
 
 def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
@@ -123,17 +124,16 @@ def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
 def step(p: RhoProc) -> list:
     """Canonical one-step reducts of p, deduplicated, in redex order.  A redex
     on the same (input, lift) pair as an earlier one is skipped: it can only
-    give the same reduct."""
+    give the same reduct.  Equal components are adjacent in canonical order,
+    so the pair is a repeat exactly when the input or the lift is its left
+    neighbour."""
     comps = components(p)
     out: list = []
     seen = set()
-    applied = set()
-    for r in redexes(p):
-        pair = (comps[r.input_index], comps[r.lift_index])
-        if pair in applied:
+    for i, j, _ in redexes(p):
+        if (i and comps[i - 1] is comps[i]) or (j and comps[j - 1] is comps[j]):
             continue
-        applied.add(pair)
-        q = _reduct(comps, r.input_index, r.lift_index)
+        q = _reduct(comps, i, j)
         if q not in seen:
             seen.add(q)
             out.append(q)

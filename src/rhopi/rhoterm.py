@@ -44,7 +44,6 @@ process in place of a matching drop, which is what communication uses.
 from __future__ import annotations
 
 import bisect
-import heapq
 from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -189,13 +188,20 @@ def _mk(cls, fields: tuple, key: tuple, hsh: int):
     ident = (cls, *fields)
     node = _INTERN.get(ident)
     if node is None:
-        fresh = cls.__new__(cls)
-        for slot, value in zip(cls.__slots__, fields):
-            setattr(fresh, slot, value)
-        fresh.key = key
-        fresh._hash = hsh
-        node = _INTERN.setdefault(ident, fresh)
+        node = _add(ident, key, hsh)
     return node
+
+
+def _add(ident: tuple, key: tuple, hsh: int):
+    """Build and intern the node that ident, ``(class, *fields)``, names;
+    the caller found no entry for it in ``_INTERN``."""
+    cls = ident[0]
+    fresh = cls.__new__(cls)
+    for slot, value in zip(cls.__slots__, ident[1:]):
+        setattr(fresh, slot, value)
+    fresh.key = key
+    fresh._hash = hsh
+    return _INTERN.setdefault(ident, fresh)
 
 
 _NIL_NODE = _mk(Nil, (), (0,), _SALT[Nil])
@@ -219,9 +225,14 @@ def par(*children: RhoProc) -> RhoProc:
         return _NIL_NODE
     if len(children) == 1:
         return children[0]
-    key = (4, *(c.key for c in children))
-    hsh = hash((_SALT[Par], *(c._hash for c in children)))
-    return _mk(Par, (tuple(children),), key, hsh)
+    # most Pars a reduction builds are already interned: look the node up
+    # before paying for its key and hash
+    ident = (Par, children)
+    node = _INTERN.get(ident)
+    if node is None:
+        key = (4, *(c.key for c in children))
+        node = _add(ident, key, hash((_SALT[Par], *(c._hash for c in children))))
+    return node
 
 
 def lift(subject: RhoName, body: RhoProc) -> RhoProc:
@@ -358,15 +369,15 @@ def canon_par_into(rest: Sequence[RhoProc], q: RhoProc) -> RhoProc:
     """Canonical form of ``par(*rest, q)`` when rest is a key-sorted sequence
     of canonical top-level components (no 0, no Par) and q is canonical.
 
-    Only q is placed: a 0 is dropped, the children of a Par are merged in
-    and anything else is inserted.  Keys are injective on interned nodes, so
-    the result is the very node ``canon_proc`` would build."""
-    if isinstance(q, Nil):
-        kids = list(rest)
-    elif isinstance(q, Par):
-        kids = list(heapq.merge(rest, q.children, key=_BY_KEY))
-    else:
-        kids = list(rest)
+    Only q is placed, into a copy of rest: a 0 is dropped, each child of a
+    Par is inserted at its place by key, and anything else is inserted
+    itself.  Keys are injective on interned nodes, so the result is the very
+    node ``canon_proc`` would build."""
+    kids = list(rest)
+    if isinstance(q, Par):
+        for child in q.children:
+            bisect.insort(kids, child, key=_BY_KEY)
+    elif not isinstance(q, Nil):
         bisect.insort(kids, q, key=_BY_KEY)
     if not kids:
         return _NIL_NODE

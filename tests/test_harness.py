@@ -147,6 +147,21 @@ def test_report_passes_only_when_every_check_passes():
     assert not failed.passed
 
 
+def test_report_header_names_fail_only_when_a_check_failed():
+    heads = {
+        "[PASS] r": [Check("a", PASS), Check("b", PASS)],
+        "[UNKNOWN] r": [Check("a", PASS), Check("b", UNKNOWN)],
+        "[FAIL] r": [Check("a", UNKNOWN), Check("b", FAIL), Check("c", PASS)],
+    }
+    for head, checks in heads.items():
+        assert Report("r", checks).summary_lines()[0] == head
+    # an empty corpus decides nothing: every check Unknown, none Fail
+    rep = check_criteria(corpus=Corpus(seed=1, size_limit=10, terms=[]))
+    assert {c.verdict for c in rep.checks} == {UNKNOWN}
+    assert rep.summary_lines()[0] == "[UNKNOWN] criteria"
+    assert not rep.passed  # so the CLI still exits 1
+
+
 # ---------------------------------------------------------------------------
 # Criteria suite
 # ---------------------------------------------------------------------------
@@ -169,7 +184,8 @@ def test_criteria_without_a_decided_check_is_unknown():
     for rep in (empty, refused):
         assert [c.verdict for c in rep.checks[:5]] == [UNKNOWN] * 5
         assert not rep.passed
-        assert rep.summary_lines()[0] == "[FAIL] criteria"
+    assert empty.summary_lines()[0] == "[UNKNOWN] criteria"
+    assert refused.summary_lines()[0] == "[FAIL] criteria"
     assert empty.checks[5].verdict == UNKNOWN
     assert empty.checks[5].evidence["checks_run"] == 0
     assert refused.checks[5].verdict == FAIL

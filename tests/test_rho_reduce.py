@@ -17,6 +17,7 @@ from rhopi.rhoreduce import (
 )
 from rhopi.rhoterm import (
     NULL_NAME,
+    Par,
     canon_name,
     canon_proc,
     drop,
@@ -161,16 +162,20 @@ def test_reduction_graph_truncates_at_bounds():
 # ---------------------------------------------------------------------------
 
 
+def continuation(comps, r):
+    """P{@Q / y} for the redex's input x?(y).P and lift x!(Q)."""
+    inode, onode = comps[r.input_index], comps[r.lift_index]
+    return subst_marker(inode.body, quote(onode.body), inode.binder.index)
+
+
 def reference_step(p):
     """step as specified: substitute into the input's body, compose with the
     remaining components and canonicalize the whole state; deduplicate."""
     comps = components(p)
     out = []
     for r in redexes(p):
-        inode, onode = comps[r.input_index], comps[r.lift_index]
-        continuation = subst_marker(inode.body, quote(onode.body), inode.binder.index)
         rest = [k for i, k in enumerate(comps) if i not in (r.input_index, r.lift_index)]
-        q = canon_proc(par(*rest, continuation))
+        q = canon_proc(par(*rest, continuation(comps, r)))
         if not any(q is seen for seen in out):
             out.append(q)
     return out
@@ -212,6 +217,22 @@ HAND_BUILT = {
         lift(xn, par(lift(yn, nil()), inp(zn, c, nil()), drop(xn))),
         lift(yn, drop(zn)),
     ),
+    # canonical order: lift(xn, 0) < 2 x lift(xn, *zn) < lift(xn, yn!(0)) <
+    # lift(yn, 0) < inp(xn, *b) < inp(xn, yn!(*b)) < 2 x inp(xn, b!(0)) <
+    # inp(xn, b?(c).0), so each pair of equal components sits between
+    # distinct ones
+    "equal inputs and equal lifts between distinct components": par(
+        inp(xn, b, lift(b, nil())),
+        lift(xn, drop(zn)),
+        inp(xn, b, inp(b, c, nil())),
+        inp(xn, c, drop(c)),
+        lift(yn, nil()),
+        lift(xn, lift(yn, nil())),
+        inp(xn, b, lift(b, nil())),
+        lift(xn, nil()),
+        inp(xn, b, lift(yn, drop(b))),
+        lift(xn, drop(zn)),
+    ),
     "nested inputs renumber their binders": par(
         inp(xn, b, inp(b, c, par(lift(c, drop(b)), inp(c, b, drop(b))))),
         lift(xn, lift(yn, nil())),
@@ -230,7 +251,19 @@ def test_step_matches_whole_state_canonicalization(label):
         assert_step_matches_reference(q)
 
 
-def test_step_matches_reference_on_cex1_states(monkeypatch):
+def test_equal_neighbours_repeat_a_pair_and_are_skipped():
+    p = canon_proc(HAND_BUILT["equal inputs and equal lifts between distinct components"])
+    comps = components(p)
+    assert [a is b for a, b in zip(comps, comps[1:])].count(True) == 2
+    assert comps[0] is not comps[1] and comps[-1] is not comps[-2]
+    pairs = [(comps[r.input_index], comps[r.lift_index]) for r in redexes(p)]
+    assert len(pairs) == 20 and len(set(pairs)) == 12
+    assert len(step(p)) == 12
+
+
+def states_step_sees(monkeypatch, experiment) -> list:
+    """The distinct states step is called on while the experiment runs, in
+    the order it first sees them."""
     reached = []
 
     def recording_step(p):
@@ -239,8 +272,22 @@ def test_step_matches_reference_on_cex1_states(monkeypatch):
 
     monkeypatch.setattr(harness, "rho_step", recording_step)
     monkeypatch.setattr(equiv, "rho_step", recording_step)
-    harness.repro_cex1()
-    states = list(dict.fromkeys(reached))
+    experiment()
+    return list(dict.fromkeys(reached))
+
+
+def test_step_matches_reference_on_cex1_states(monkeypatch):
+    states = states_step_sees(monkeypatch, harness.repro_cex1)
     assert len(states) > 100
     for p in states:
+        assert_step_matches_reference(p)
+
+
+def test_step_matches_reference_on_a_sample_of_cex2_states(monkeypatch):
+    sample = states_step_sees(monkeypatch, harness.repro_cex2)[::25]
+    assert len(sample) > 100
+    # cex2, unlike cex1, has continuations of five parallel components
+    continuations = [continuation(components(p), r) for p in sample for r in redexes(p)]
+    assert max(len(q.children) for q in continuations if isinstance(q, Par)) >= 5
+    for p in sample:
         assert_step_matches_reference(p)

@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rhopi import equiv, harness
+from rhopi.piterm import _PINTERN, _PSALT, PiTerm, PPar, pout, ppar
 from rhopi.rhoterm import (
+    _INTERN,
+    _SALT,
     NULL_NAME,
     BoundMarker,
     NamespaceScheme,
     Par,
+    RhoTerm,
     canon_name,
     canon_par_into,
     canon_proc,
@@ -243,6 +248,67 @@ def test_gen_fresh_chains_are_pairwise_distinct():
 
 
 # ---------------------------------------------------------------------------
+# Interning: a Par is looked up first, its key and hash built only on a miss
+# ---------------------------------------------------------------------------
+
+
+def _reachable(roots, base):
+    """Every node of type base reachable from roots through child fields."""
+    found = {}
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) in found:
+            continue
+        found[id(node)] = node
+        for slot in type(node).__slots__:
+            value = getattr(node, slot)
+            todo.extend(v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, base))
+    return list(found.values())
+
+
+def test_interned_pars_carry_the_eagerly_built_key_and_hash(monkeypatch):
+    states = []
+
+    def recording(step):
+        def recorded(p):
+            states.append(p)
+            return step(p)
+
+        return recorded
+
+    monkeypatch.setattr(harness, "rho_step", recording(harness.rho_step))
+    monkeypatch.setattr(equiv, "rho_step", recording(equiv.rho_step))
+    monkeypatch.setattr(harness, "pi_step", recording(harness.pi_step))
+    harness.repro_cex1()
+    for base, cls, tag, salt, table in (
+        (RhoTerm, Par, 4, _SALT, _INTERN),
+        (PiTerm, PPar, 5, _PSALT, _PINTERN),
+    ):
+        nodes = [n for n in _reachable([s for s in states if isinstance(s, base)], base) if type(n) is cls]
+        assert nodes
+        for n in nodes:
+            assert n.key == (tag, *(c.key for c in n.children))
+            assert n._hash == hash((salt[cls], *(c._hash for c in n.children)))
+            assert table[(cls, n.children)] is n
+
+
+def test_par_gives_one_node_on_a_miss_and_on_a_hit():
+    kids = (lift(marker(900_001), nil()), drop(marker(900_001)))
+    assert (Par, kids) not in _INTERN
+    first = par(*kids)
+    assert first.children == kids
+    assert par(list(kids)) is first  # a new tuple of the same children
+    assert par(*kids) is first
+    pkids = (pout("probe", "a"), pout("probe", "b"))
+    assert (PPar, pkids) not in _PINTERN
+    pfirst = ppar(*pkids)
+    assert pfirst.children == pkids
+    assert ppar(list(pkids)) is pfirst
+    assert ppar(*pkids) is pfirst
+
+
+# ---------------------------------------------------------------------------
 # Randomized invariants
 # ---------------------------------------------------------------------------
 
@@ -276,6 +342,8 @@ def test_parallel_insert_matches_full_canonicalization(seed):
     p = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
     q = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
     rest = p.children if isinstance(p, Par) else () if p is nil() else (p,)
-    merged = canon_par_into(rest, q)
+    kept = list(rest)
+    merged = canon_par_into(kept, q)
+    assert kept == list(rest)  # q is placed into a copy
     assert merged is canon_proc(par(p, q))
     assert canon_proc(merged) is merged
