@@ -39,13 +39,14 @@ from .equiv import (
     DivergenceReport,
     DivergenceVerdict,
     barbed_bisim,
+    bisim_blocks,
     divergence_probe,
     graph_divergence,
     pi_barbed_bisim,
     pi_divergence,
     pi_weak_barb_set,
-    restricted_weak_obs,
     rho_barbed_bisim,
+    rho_graph_divergence,
     rho_weak_barb_set,
     weak_observations,
 )
@@ -109,6 +110,7 @@ from .rhoterm import (
     subst_syn,
 )
 
+from . import encode as _encode
 from . import piterm as _piterm
 from . import rhoreduce as _rhoreduce
 from . import rhoterm as _rhoterm
@@ -123,6 +125,7 @@ _DERIVED_CACHES = {
         ("rhoterm", _rhoterm.DERIVED_CACHES),
         ("rhoreduce", _rhoreduce.DERIVED_CACHES),
         ("piterm", _piterm.DERIVED_CACHES),
+        ("encode", _encode.DERIVED_CACHES),
     )
     for name, table in tables.items()
 }

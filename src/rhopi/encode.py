@@ -150,6 +150,16 @@ class RenamingPolicy:
 # Machinery processes
 # ---------------------------------------------------------------------------
 
+# Both memos below are keyed on everything their function reads, so a hit
+# returns exactly the terms a fresh computation would build.
+# (policy image, canonical others, max_tries) -> the chosen EncodingParams
+_PARAMS: dict = {}
+# EncodingParams -> its name-server process
+_SERVERS: dict = {}
+
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them
+DERIVED_CACHES = {"params": _PARAMS, "name_server": _SERVERS}
+
 
 def copier(x: RhoName) -> RhoProc:
     """The copier on channel x: receives a name and re-emits both the process
@@ -167,6 +177,9 @@ def name_server(params: "EncodingParams") -> RhoProc:
     serving loop keeps its own state as a lift on z (the next name to hand
     out, advanced by quoting) and regenerates itself through the copier on x.
     """
+    server = _SERVERS.get(params)
+    if server is not None:
+        return server
     x, z, v, s = params.x, params.z, params.v, params.s
     a = gen_fresh([x, z, v, s])
     r = gen_fresh([x, z, v, s, a])
@@ -183,7 +196,8 @@ def name_server(params: "EncodingParams") -> RhoProc:
             ),
         ),
     )
-    return par(copier(x), lift(x, serve), lift(z, drop(s)))
+    server = _SERVERS[params] = par(copier(x), lift(x, serve), lift(z, drop(s)))
+    return server
 
 
 @dataclass(frozen=True)
@@ -237,13 +251,26 @@ def make_encoding_params(
     collide with the image of a later atom).  Each candidate is rejected,
     and the base recomputed, if it lies in the namespace generated by an
     already-chosen name or vice versa.
+
+    The choice depends only on the policy image, the canonical others and
+    max_tries, and is memoised on them.
     """
-    avoid = set(policy.image()) | {rincr(NULL_NAME)} | {canon_name(o) for o in others}
+    image = policy.image()
+    others = tuple(canon_name(o) for o in others)
+    key = (image, others, max_tries)
+    params = _PARAMS.get(key)
+    if params is None:
+        params = _PARAMS[key] = _choose_params(image, others, max_tries)
+    return params
+
+
+def _choose_params(image: frozenset, others: tuple, max_tries: int) -> EncodingParams:
+    avoid = set(image) | {rincr(NULL_NAME)} | set(others)
     chosen: list = []
     # The null name is a permanent guard: a candidate whose quoted body
     # collapses to a bare increment would otherwise sit inside the namespace
     # every source image is drawn from.
-    guards = [NULL_NAME] + [canon_name(o) for o in others]
+    guards = [NULL_NAME, *others]
     while len(chosen) < 5:
         for _ in range(max_tries):
             cand = gen_fresh(avoid)

@@ -1,23 +1,27 @@
 """Bounded equivalence checking over reduction graphs.
 
-``barbed_bisim`` decides (within exploration budgets) barbed bisimilarity of
-two states under a shared step function and barb observation: states are
-related when their (weak) barb sets agree and every move of one can be
-matched by the other, weakly through any number of reductions.  The checker
-explores both reduction graphs, saturates them for the weak case (reachable
-sets via strongly-connected-component condensation), and runs partition
-refinement over the union; identical canonical roots short-circuit to
-Bisimilar.  Truncated explorations yield Unknown unless a definite
-distinction survives truncation (a barb one side exhibits and the other side
-provably never reaches).  Each rho_/pi_ pair of entry points shares one body
-with the calculus' canonical form, step and barbs plugged in, and
-``weak_observations`` gives each state of an explored graph its weak barbs.
+``barbed_bisim`` decides barbed bisimilarity of the roots of two explored
+graphs (``Lts``) under a barb observation: states are related when their
+(weak) barb sets agree and every move of one can be matched by the other,
+weakly through any number of reductions.  The checker saturates the graphs
+for the weak case (reachable sets via strongly-connected-component
+condensation) and runs partition refinement over their union.  A truncated
+graph yields Unknown unless a definite distinction survives truncation (a
+barb one side exhibits and the other side provably never reaches).
+``bisim_blocks`` runs the same refinement over any number of graphs and
+returns the blocks, so a caller can ask which states of one graph match a
+state of another without exploring either again.  The rho_/pi_ entry points
+take terms: they short-circuit identical canonical roots to Bisimilar and
+otherwise explore both graphs, sharing one body with the calculus'
+canonical form, step and barbs plugged in.  ``weak_observations`` gives
+each state of an explored graph its weak barbs.
 
 ``graph_divergence`` reads the sound divergence verdicts off an explored
 graph: a reachable cycle is Diverges, a fully explored acyclic graph is
 Terminates, anything else Unknown; ``pi_divergence`` is just that rule.
-``divergence_probe`` applies it to a reflective term, and heuristics never
-touch either sound verdict.  Only when the exploration was cut off do two
+``rho_graph_divergence`` applies it to an explored reflective graph and
+``divergence_probe`` to a reflective term; heuristics never touch either
+sound verdict.  Only when the exploration was cut off do two
 replay heuristics inspect the partial graph for evidence of unbounded growth:
 a state containing a breadth-first ancestor as a strict sub-multiset of
 parallel components (the ancestor's whole future can be replayed beside the
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .lts import Lts, Verdict, explore, weak_barb_search
+from .lts import Lts, explore
 from .piterm import PiTerm, pi_barbs, pi_canon, pi_step
 from .rhoreduce import barbs as rho_barbs
 from .rhoreduce import components as rho_components
@@ -48,7 +52,6 @@ from .rhoterm import (
     Lift,
     Nil,
     RhoProc,
-    canon_name,
     canon_proc,
     quote_depth,
 )
@@ -57,17 +60,18 @@ __all__ = [
     "BisimVerdict",
     "BisimReport",
     "barbed_bisim",
+    "bisim_blocks",
     "rho_barbed_bisim",
     "pi_barbed_bisim",
     "DivergenceVerdict",
     "DivergenceReport",
     "graph_divergence",
     "divergence_probe",
+    "rho_graph_divergence",
     "pi_divergence",
     "weak_observations",
     "rho_weak_barb_set",
     "pi_weak_barb_set",
-    "restricted_weak_obs",
 ]
 
 
@@ -177,94 +181,90 @@ class BisimReport:
 
 
 def barbed_bisim(
-    root1,
-    root2,
-    step_fn: Callable,
+    g1: Lts,
+    g2: Lts,
     barb_fn: Callable,
     weak: bool = True,
-    max_states: int = 2000,
-    max_depth: int = 200,
 ) -> BisimReport:
-    """Bounded barbed bisimilarity of two canonical states (strong or weak).
+    """Bounded barbed bisimilarity of the roots of two explored graphs
+    (strong or weak).
 
-    Pass canonical roots: identical roots are Bisimilar outright.  barb_fn
-    maps a state to its barb set (restrict it upstream if needed).
+    barb_fn maps a state to its barb set (restrict it upstream if needed).
+    A truncated graph decides only what truncation cannot change: strongly,
+    a difference in root barbs; weakly, a barb one graph shows somewhere and
+    the other, fully explored, never shows.
     """
-    if root1 == root2:
-        return BisimReport(BisimVerdict.BISIMILAR, weak, (1, 1), False, None)
-
-    g1 = explore(root1, step_fn, max_states=max_states, max_depth=max_depth)
-    g2 = explore(root2, step_fn, max_states=max_states, max_depth=max_depth)
-    truncated = g1.truncated or g2.truncated
-
-    if truncated:
-        if not weak:
-            b1, b2 = barb_fn(root1), barb_fn(root2)
-            if b1 != b2:
-                return BisimReport(
-                    BisimVerdict.NOT_BISIMILAR,
-                    weak,
-                    (len(g1.states), len(g2.states)),
-                    True,
-                    {"reason": "barb", "only": _barb_diff(b1, b2)},
-                )
-            return BisimReport(
-                BisimVerdict.UNKNOWN, weak, (len(g1.states), len(g2.states)), True
-            )
-        obs1 = frozenset().union(*(barb_fn(s) for s in g1.states)) if g1.states else frozenset()
-        obs2 = frozenset().union(*(barb_fn(s) for s in g2.states)) if g2.states else frozenset()
+    states = (len(g1.states), len(g2.states))
+    if g1.truncated or g2.truncated:
         witness = None
-        if not g1.truncated and obs2 - obs1:
-            witness = {"reason": "barb", "only": ("right", sorted(obs2 - obs1, key=repr))}
-        elif not g2.truncated and obs1 - obs2:
-            witness = {"reason": "barb", "only": ("left", sorted(obs1 - obs2, key=repr))}
+        if not weak:
+            b1, b2 = barb_fn(g1.states[0]), barb_fn(g2.states[0])
+            if b1 != b2:
+                witness = {"reason": "barb", "only": _barb_diff(b1, b2)}
+        else:
+            obs1 = frozenset().union(*map(barb_fn, g1.states))
+            obs2 = frozenset().union(*map(barb_fn, g2.states))
+            if not g1.truncated and obs2 - obs1:
+                witness = {"reason": "barb", "only": ("right", sorted(obs2 - obs1, key=repr))}
+            elif not g2.truncated and obs1 - obs2:
+                witness = {"reason": "barb", "only": ("left", sorted(obs1 - obs2, key=repr))}
         if witness:
-            return BisimReport(
-                BisimVerdict.NOT_BISIMILAR,
-                weak,
-                (len(g1.states), len(g2.states)),
-                True,
-                witness,
-            )
-        return BisimReport(
-            BisimVerdict.UNKNOWN, weak, (len(g1.states), len(g2.states)), True
-        )
+            return BisimReport(BisimVerdict.NOT_BISIMILAR, weak, states, True, witness)
+        return BisimReport(BisimVerdict.UNKNOWN, weak, states, True)
 
-    n1 = len(g1.states)
-    states = list(g1.states) + list(g2.states)
+    all_states, edges, (_, n1) = _union([g1, g2])
+    block_of, succ_rel, barb_sig = _refine(all_states, edges, barb_fn, weak)
+    nblocks = len(set(block_of))
+    if block_of[0] == block_of[n1]:
+        return BisimReport(BisimVerdict.BISIMILAR, weak, states, False, None, nblocks)
+    witness = _bisim_witness(all_states, n1, block_of, succ_rel, barb_sig, weak)
+    return BisimReport(BisimVerdict.NOT_BISIMILAR, weak, states, False, witness, nblocks)
+
+
+def bisim_blocks(graphs: list, barb_fn: Callable, weak: bool = True) -> list:
+    """Partition refinement over the disjoint union of explored graphs: per
+    graph, the block of each of its states.  Two states share a block
+    exactly when they are (weakly) barbed bisimilar within the union, which
+    is their bisimilarity outright when no graph is truncated."""
+    states, edges, offsets = _union(graphs)
+    block_of = _refine(states, edges, barb_fn, weak)[0]
+    return [block_of[o : o + len(g.states)] for o, g in zip(offsets, graphs)]
+
+
+def _union(graphs: list) -> tuple:
+    """States, successor lists and per-graph index offsets of the disjoint
+    union of graphs."""
+    states: list = []
+    edges: list = []
+    offsets = []
+    for g in graphs:
+        off = len(states)
+        offsets.append(off)
+        states += g.states
+        edges += [[t + off for t in row] for row in g.edges]
+    return states, edges, offsets
+
+
+def _refine(states: list, edges: list, barb_fn: Callable, weak: bool) -> tuple:
+    """Coarsest partition of a graph's states that agrees on (weak) barbs and
+    is stable under (weak) moves: (block of each state, the successor
+    relation used, the barb signature used)."""
     n = len(states)
-    edges = [list(t) for t in g1.edges] + [[t + n1 for t in row] for row in g2.edges]
-
     if weak:
         succ_rel = _reach_sets(n, edges)
         barb_sig = weak_observations(states, edges, barb_fn)
     else:
         succ_rel = [set(row) for row in edges]
-        barb_sig = [barb_fn(states[i]) for i in range(n)]
-
-    # partition refinement
-    block_of = _regroup([(barb_sig[i],) for i in range(n)])
+        barb_sig = [barb_fn(st) for st in states]
+    block_of = _regroup([(sig,) for sig in barb_sig])
     while True:
         sigs = [
             (block_of[i], frozenset(block_of[j] for j in succ_rel[i])) for i in range(n)
         ]
         new_block_of = _regroup(sigs)
         if new_block_of == block_of:
-            break
+            return block_of, succ_rel, barb_sig
         block_of = new_block_of
-
-    nblocks = len(set(block_of))
-    if block_of[0] == block_of[n1]:
-        return BisimReport(
-            BisimVerdict.BISIMILAR, weak, (n1, n - n1), False, None, nblocks
-        )
-
-    witness = _bisim_witness(
-        states, n1, block_of, succ_rel, barb_sig, weak
-    )
-    return BisimReport(
-        BisimVerdict.NOT_BISIMILAR, weak, (n1, n - n1), False, witness, nblocks
-    )
 
 
 def _regroup(sigs: list) -> list:
@@ -309,16 +309,17 @@ def _bisim_witness(states, n1, block_of, succ_rel, barb_sig, weak) -> dict:
 def _calculus_bisim(canon, step_fn, barbs, p, q, weak, restrict, max_states, max_depth):
     """barbed_bisim of two terms of one calculus: canon brings a term to its
     canonical form, step_fn and barbs are the calculus' reduction and
-    observation (barbs takes the state and the allowed subjects)."""
+    observation (barbs takes the state and the allowed subjects).
+    Identical canonical roots are Bisimilar without exploring."""
+    r1, r2 = canon(p), canon(q)
+    if r1 == r2:
+        return BisimReport(BisimVerdict.BISIMILAR, weak, (1, 1), False, None)
     allowed = None if restrict is None else list(restrict)
     return barbed_bisim(
-        canon(p),
-        canon(q),
-        step_fn,
+        explore(r1, step_fn, max_states=max_states, max_depth=max_depth),
+        explore(r2, step_fn, max_states=max_states, max_depth=max_depth),
         lambda s: barbs(s, allowed),
         weak=weak,
-        max_states=max_states,
-        max_depth=max_depth,
     )
 
 
@@ -405,47 +406,6 @@ def pi_weak_barb_set(
 
 
 # ---------------------------------------------------------------------------
-# Structurally-restricted weak observation of an encoded pi term
-# ---------------------------------------------------------------------------
-
-
-def restricted_weak_obs(
-    encoded_parts: list,
-    barb: tuple,
-    restrict: Optional[Iterable] = None,
-    max_states: int = 2000,
-    max_depth: int = 200,
-) -> Verdict:
-    """Does an encoded source exhibit barb, observing each top-level parallel
-    component of the source separately?
-
-    encoded_parts holds the encoding (or its reflective state) of each
-    top-level parallel component of the source as written, each with its own
-    name server and one shared renaming policy so source atoms keep one
-    image.  Each part is explored on its own, and the whole term shows the
-    barb exactly when some part does — component interaction is deliberately
-    out of view, which is what makes the observation compare cleanly against
-    the source term's own barbs.
-    """
-    allowed = None if restrict is None else [canon_name(x) for x in restrict]
-    saw_unknown = False
-    for enc in encoded_parts:
-        state = enc.state if hasattr(enc, "state") else enc
-        found = weak_barb_search(
-            state,
-            rho_step,
-            lambda s: barb in rho_barbs(s, allowed),
-            max_states=max_states,
-            max_depth=max_depth,
-        )
-        if found.verdict is Verdict.YES:
-            return Verdict.YES
-        if found.verdict is Verdict.UNKNOWN:
-            saw_unknown = True
-    return Verdict.UNKNOWN if saw_unknown else Verdict.NO
-
-
-# ---------------------------------------------------------------------------
 # Divergence probing
 # ---------------------------------------------------------------------------
 
@@ -493,7 +453,14 @@ def divergence_probe(
 ) -> DivergenceReport:
     """Bounded divergence analysis of a reflective term (see module docs for
     the verdict rules)."""
-    g = explore(canon_proc(p), rho_step, max_states=max_states, max_depth=max_depth)
+    return rho_graph_divergence(
+        explore(canon_proc(p), rho_step, max_states=max_states, max_depth=max_depth)
+    )
+
+
+def rho_graph_divergence(g: Lts) -> DivergenceReport:
+    """graph_divergence of an explored reflective graph, and when that is
+    Unknown, the growth and replay rules over its ancestor chains."""
     settled = graph_divergence(g)
     if settled.verdict is not DivergenceVerdict.UNKNOWN:
         return settled

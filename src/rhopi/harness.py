@@ -45,12 +45,12 @@ from .encode import (
 from .equiv import (
     BisimVerdict,
     DivergenceVerdict,
-    divergence_probe,
+    barbed_bisim,
+    bisim_blocks,
     graph_divergence,
     pi_barbed_bisim,
     pi_weak_barb_set,
-    restricted_weak_obs,
-    rho_barbed_bisim,
+    rho_graph_divergence,
     rho_weak_barb_set,
     weak_observations,
 )
@@ -781,22 +781,26 @@ def _map_pi_barbs(barbs: frozenset, phi: dict) -> frozenset:
 def _prop1_parameter_independence(b: dict, bounds: dict) -> tuple:
     """The encoding's observable behaviour does not depend on which derived
     parameter names the encoder picked (strong bisimilarity, restricted to
-    the images of the source's free atoms)."""
+    the images of the source's free atoms).  The first encoding's graph is
+    ``g_rho``."""
     params2 = make_encoding_params(b["pol"], others=b["params"].all_names())
     enc2 = encode_ns(b["term"], policy=b["pol"], params=params2)
     subjects = b["subjects"]
-    rep = rho_barbed_bisim(
-        b["enc"].state,
+    g1 = b["g_rho"]
+    # a cut-off g1 leaves barbed_bisim only the root barbs to compare, so the
+    # second graph then needs its root alone
+    g2 = explore(
         enc2.state,
-        weak=False,
-        restrict=subjects,
-        max_states=bounds["bisim_max_states"],
+        rho_step,
+        max_states=1 if g1.truncated else bounds["max_states"],
         max_depth=bounds["max_depth"],
     )
+    rep = barbed_bisim(g1, g2, lambda s: rho_barbs(s, subjects), weak=False)
     if rep.verdict is BisimVerdict.BISIMILAR:
         return PASS, None
     if rep.verdict is BisimVerdict.UNKNOWN:
-        return UNKNOWN, {"reason": "bisim exploration truncated"}
+        cut = g1 if g1.truncated else g2
+        return UNKNOWN, {"reason": "encoded exploration truncated", "budget": cut.truncated_reason}
     return FAIL, {"witness": repr(rep.witness)}
 
 
@@ -825,10 +829,13 @@ def _prop2_substitution_invariance(b: dict, rng: random.Random) -> tuple:
 
 
 def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
-    """Completeness: each one-step source reduct is matched by a reachable
-    encoded state weakly bisimilar (restricted) to the reduct's own fresh
-    encoding.  Soundness: every reachable encoded state observes like some
-    reachable source term."""
+    """Completeness: each one-step source reduct's own fresh encoding is
+    weakly bisimilar (restricted) to some reachable encoded state.  Soundness:
+    every reachable encoded state observes like some reachable source term.
+
+    Completeness runs one weak refinement over ``g_rho`` and the reducts'
+    graphs together; it runs only when ``g_rho`` is complete, so sharing a
+    block is bisimilarity outright."""
     g_rho, g_pi = b["g_rho"], b["g_pi"]
     subjects = b["subjects"]
     phi = b["phi"]
@@ -845,48 +852,42 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
     if g_rho.truncated:
         verdicts.append(UNKNOWN)
         evidence["completeness"] = "encoded exploration truncated"
+        evidence["budget"] = g_rho.truncated_reason
     else:
+        reducts = []
+        graphs = [g_rho]
         for j in g_pi.edges[0]:
             reduct = g_pi.states[j]
             enc_r = encode_ns(named(reduct, "r"), policy=b["pol"], params=b["params"])
-            wr, wr_trunc = rho_weak_barb_set(
+            g_r = explore(
                 enc_r.state,
-                subjects,
+                rho_step,
                 max_states=bounds["max_states"],
                 max_depth=bounds["max_depth"],
             )
-            if wr_trunc:
+            if g_r.truncated:
                 verdicts.append(UNKNOWN)
                 evidence.setdefault("completeness", "reduct exploration truncated")
+                evidence.setdefault("budget", g_r.truncated_reason)
                 continue
-            candidates = sorted(
-                (i for i in range(len(g_rho.states)) if rho_ws[i] == wr),
-                key=lambda i: g_rho.depths[i],
-            )[:3]
-            outcome = None
-            for i in candidates:
-                rep = rho_barbed_bisim(
-                    g_rho.states[i],
-                    enc_r.state,
-                    weak=True,
-                    restrict=subjects,
-                    max_states=bounds["bisim_max_states"],
-                    max_depth=bounds["max_depth"],
-                )
-                if rep.verdict is BisimVerdict.BISIMILAR:
-                    outcome = PASS
-                    break
-                if rep.verdict is BisimVerdict.UNKNOWN:
-                    outcome = UNKNOWN
-            if outcome is None:
-                outcome = FAIL
+            reducts.append(reduct)
+            graphs.append(g_r)
+        blocks = bisim_blocks(graphs, lambda s: rho_barbs(s, subjects))
+        matched = set(blocks[0])
+        for reduct, reduct_blocks in zip(reducts, blocks[1:]):
+            if reduct_blocks[0] in matched:
+                verdicts.append(PASS)
+            else:
+                verdicts.append(FAIL)
                 evidence.setdefault("completeness_failure", show_pi(reduct))
-            verdicts.append(outcome)
 
     # soundness: every encoded state's weak observations match some source state
     if g_rho.truncated or g_pi.truncated:
         verdicts.append(UNKNOWN)
         evidence.setdefault("soundness", "exploration truncated")
+        evidence.setdefault(
+            "budget", g_rho.truncated_reason or "pi_" + g_pi.truncated_reason
+        )
     else:
         pi_set_pool = set(pi_ws)
         bad = [i for i in range(len(g_rho.states)) if rho_ws[i] not in pi_set_pool]
@@ -915,32 +916,32 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
     parts = [encode_ns(leaf, policy=b["pol"]) for leaf in leaves]
     phi = b["phi"]
     subjects = b["subjects"]
-    verdicts = []
-    evidence = {}
-
-    for d, a in pi_barbs(b["canon"], b["fn"]):
-        obs = restricted_weak_obs(
-            parts,
-            (d, phi[a]),
-            restrict=subjects,
-            max_states=bounds["max_states"],
-            max_depth=bounds["max_depth"],
-        )
-        if obs is Verdict.YES:
-            verdicts.append(PASS)
-        elif obs is Verdict.NO:
-            verdicts.append(FAIL)
-            evidence.setdefault("missing_barb", f"{d} {a}")
-        else:
-            verdicts.append(UNKNOWN)
-
-    for leaf, part in zip(leaves, parts):
-        wset, wtr = rho_weak_barb_set(
+    # each part's weak barbs, observed separately: component interaction is
+    # out of view, which is what makes them compare cleanly against the
+    # source's own barbs
+    weak_sets = [
+        rho_weak_barb_set(
             part.state,
             subjects,
             max_states=bounds["max_states"],
             max_depth=bounds["max_depth"],
         )
+        for part in parts
+    ]
+    cut = any(wtr for _, wtr in weak_sets)
+    verdicts = []
+    evidence = {}
+
+    for d, a in pi_barbs(b["canon"], b["fn"]):
+        if any((d, phi[a]) in wset for wset, _ in weak_sets):
+            verdicts.append(PASS)
+        elif cut:
+            verdicts.append(UNKNOWN)
+        else:
+            verdicts.append(FAIL)
+            evidence.setdefault("missing_barb", f"{d} {a}")
+
+    for leaf, (wset, wtr) in zip(leaves, weak_sets):
         pw, ptr = pi_weak_barb_set(
             leaf,
             b["fn"],
@@ -961,21 +962,20 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
     return _worst(verdicts or [PASS]), (evidence or None)
 
 
-def _prop5_divergence_reflection(b: dict, bounds: dict) -> tuple:
+def _prop5_divergence_reflection(b: dict) -> tuple:
     """If the source term cannot diverge, neither can its encoding."""
     source = graph_divergence(b["g_pi"])
     if source.verdict is not DivergenceVerdict.TERMINATES:
         return PASS, {"note": "source not shown terminating; nothing to reflect"}
-    probe = divergence_probe(
-        b["enc"].state,
-        max_states=bounds["max_states"],
-        max_depth=bounds["max_depth"],
-    )
+    probe = rho_graph_divergence(b["g_rho"])
     if probe.verdict is DivergenceVerdict.TERMINATES:
         return PASS, None
     if probe.verdict is DivergenceVerdict.DIVERGES:
         return FAIL, {"rule": probe.rule, "term": show_pi(b["term"])}
-    return UNKNOWN, {"reason": "encoded exploration truncated"}
+    return UNKNOWN, {
+        "reason": "encoded exploration truncated",
+        "budget": b["g_rho"].truncated_reason,
+    }
 
 
 _PROP_LABELS = {
@@ -996,7 +996,6 @@ def check_criteria(
     max_depth: int = 80,
     pi_max_states: int = 600,
     pi_max_depth: int = 60,
-    bisim_max_states: int = 800,
 ) -> Report:
     """Run the five behavioural criteria over a deterministic corpus."""
     t0 = time.perf_counter()
@@ -1008,7 +1007,6 @@ def check_criteria(
         "max_depth": max_depth,
         "pi_max_states": pi_max_states,
         "pi_max_depth": pi_max_depth,
-        "bisim_max_states": bisim_max_states,
     }
 
     tallies = {k: {PASS: 0, FAIL: 0, UNKNOWN: 0} for k in _PROP_LABELS}
@@ -1028,7 +1026,7 @@ def check_criteria(
             "prop2": lambda: _prop2_substitution_invariance(b, rng),
             "prop3": lambda: _prop3_operational_correspondence(b, bounds),
             "prop4": lambda: _prop4_observational_correspondence(b, bounds),
-            "prop5": lambda: _prop5_divergence_reflection(b, bounds),
+            "prop5": lambda: _prop5_divergence_reflection(b),
         }
         for k, run in runs.items():
             verdict, ev = run()

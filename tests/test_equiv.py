@@ -5,6 +5,8 @@ calculi, weak barb sets, the three divergence verdict rules, and the replay
 matcher's unit-level behaviour.
 """
 
+import pytest
+
 from rhopi.encode import encode_mr, encode_ns
 from rhopi.equiv import (
     BisimVerdict,
@@ -13,14 +15,19 @@ from rhopi.equiv import (
     _reach_sets,
     _replay_match,
     _sccs,
+    barbed_bisim,
+    bisim_blocks,
     divergence_probe,
     pi_barbed_bisim,
     pi_divergence,
     pi_weak_barb_set,
     rho_barbed_bisim,
+    rho_graph_divergence,
     rho_weak_barb_set,
 )
-from rhopi.piterm import pin, pnew, pnil, pout, ppar, prepl
+from rhopi.lts import explore
+from rhopi.piterm import pi_barbs, pi_canon, pi_step, pin, pnew, pnil, pout, ppar, prepl
+from rhopi.rhoreduce import barbs, step
 from rhopi.rhoterm import (
     NULL_NAME,
     canon_proc,
@@ -141,6 +148,75 @@ def test_pi_replication_keeps_input_barb_after_communication():
 
 
 # ---------------------------------------------------------------------------
+# Graph form against the roots form
+# ---------------------------------------------------------------------------
+
+_Q1 = lift(x, nil())
+_Q2 = par(inp(y, a, lift(x, nil())), lift(y, nil()))
+_N1 = par(inp(z, a, lift(x, nil())), lift(z, nil()), inp(z, a, lift(y, nil())))
+_N2 = par(inp(z, a, lift(x, nil())), lift(z, nil()))
+_REARM = inp(x, a, par(drop(a), lift(x, drop(a))))
+_GROW = inp(x, a, par(drop(a), lift(x, drop(a)), lift(w, nil())))
+_PI_LEFT = pnew("z", ppar(pout("z", "a"), pin("z", "y", pout("x", "b"))))
+_PI_RIGHT = pout("x", "b")
+_PI_REPL = ppar(prepl(pin("x", "y", pnil())), pout("x", "a"))
+_PI_ONCE = ppar(pin("x", "y", pnil()), pout("x", "a"))
+
+# (p, q, weak, restrict, bounds): the cases of the tests above whose canonical
+# roots differ, plus cut-off graphs for the truncated branches
+_RHO_CASES = [
+    (_Q1, _Q2, weak, restrict, {})
+    for weak in (False, True)
+    for restrict in (None, [x])
+] + [
+    (_N1, _N2, True, [x, y], {}),
+    (par(_GROW, lift(x, _GROW)), _Q1, False, None, {"max_states": 20}),
+    (par(_GROW, lift(x, _GROW)), _Q1, True, None, {"max_states": 20}),
+    (par(_GROW, lift(x, _GROW)), par(_REARM, lift(x, _REARM)), True, [x], {"max_depth": 3}),
+]
+_PI_CASES = [
+    (_PI_LEFT, _PI_RIGHT, True, ["x"], {}),
+    (_PI_LEFT, _PI_RIGHT, False, ["x"], {}),
+    (_PI_REPL, _PI_ONCE, True, None, {}),
+    (_PI_REPL, _PI_ONCE, False, None, {}),
+]
+
+
+def _graph_form(canon, step_fn, barb_fn, p, q, weak, restrict, bounds):
+    g1 = explore(canon(p), step_fn, **bounds)
+    g2 = explore(canon(q), step_fn, **bounds)
+    return barbed_bisim(g1, g2, lambda s: barb_fn(s, restrict), weak=weak)
+
+
+@pytest.mark.parametrize("case", range(len(_RHO_CASES) + len(_PI_CASES)))
+def test_graph_form_bisim_matches_roots_form(case):
+    if case < len(_RHO_CASES):
+        p, q, weak, restrict, bounds = _RHO_CASES[case]
+        roots = rho_barbed_bisim(p, q, weak=weak, restrict=restrict, **bounds)
+        graphs = _graph_form(canon_proc, step, barbs, p, q, weak, restrict, bounds)
+    else:
+        p, q, weak, restrict, bounds = _PI_CASES[case - len(_RHO_CASES)]
+        roots = pi_barbed_bisim(p, q, weak=weak, restrict=restrict, **bounds)
+        graphs = _graph_form(pi_canon, pi_step, pi_barbs, p, q, weak, restrict, bounds)
+    assert graphs.verdict is roots.verdict
+    assert graphs.states == roots.states
+    assert graphs.blocks == roots.blocks
+    assert graphs.truncated == roots.truncated
+    assert graphs.witness == roots.witness
+
+
+def test_bisim_blocks_match_states_across_graphs():
+    g1 = explore(canon_proc(_Q1), step)
+    g2 = explore(canon_proc(_Q2), step)
+    weak_blocks = bisim_blocks([g1, g2], lambda s: barbs(s, [x]))
+    assert [len(b) for b in weak_blocks] == [1, 2]
+    assert weak_blocks[0][0] == weak_blocks[1][0]  # q2 weakly matches q1
+    strong_blocks = bisim_blocks([g1, g2], lambda s: barbs(s, [x]), weak=False)
+    assert strong_blocks[0][0] != strong_blocks[1][0]
+    assert strong_blocks[0][0] == strong_blocks[1][1]  # q2's reduct is q1
+
+
+# ---------------------------------------------------------------------------
 # Weak barb sets
 # ---------------------------------------------------------------------------
 
@@ -200,6 +276,24 @@ def test_corrected_encoding_of_terminating_term_terminates():
     enc = encode_ns(pnew("z", pout("u", "z")))
     rep = divergence_probe(enc.state, max_states=300, max_depth=100)
     assert rep.verdict is DivergenceVerdict.TERMINATES
+
+
+@pytest.mark.parametrize(
+    "term, bounds",
+    [
+        (par(_REARM, lift(x, _REARM)), {}),
+        (par(_GROW, lift(x, _GROW)), {"max_states": 60, "max_depth": 40}),
+        (par(lift(z, nil()), inp(z, a, lift(x, nil()))), {}),
+        (nil(), {}),
+        (encode_mr(prepl(pnil())).state, {"max_states": 300, "max_depth": 100}),
+        (encode_ns(pnew("z", pout("u", "z"))).state, {"max_states": 300, "max_depth": 100}),
+    ],
+)
+def test_graph_divergence_matches_divergence_probe(term, bounds):
+    probe = divergence_probe(term, **bounds)
+    limits = {"max_states": 400, "max_depth": 120, **bounds}
+    graph = rho_graph_divergence(explore(canon_proc(term), step, **limits))
+    assert graph == probe
 
 
 def test_pi_divergence_both_verdicts():

@@ -23,7 +23,7 @@ from rhopi.harness import (
     repro_cex2,
     repro_separation_witness,
 )
-from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_canon, pout, prepl, show_pi
+from rhopi.piterm import PIn, PNew, PPar, PRepl, pin, pout, ppar, prepl, show_pi
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +103,29 @@ def _verdicts_and_evidence(rep) -> dict:
 
 
 def test_clearing_derived_caches_leaves_reports_unchanged():
-    warm = [_verdicts_and_evidence(repro_cex1()), _verdicts_and_evidence(repro_cex2())]
+    def criteria():
+        return _verdicts_and_evidence(check_criteria(seed=2, count=4, size=8))
+
+    warm = [
+        _verdicts_and_evidence(repro_cex1()),
+        _verdicts_and_evidence(repro_cex2()),
+        criteria(),
+    ]
     stats = rhopi.cache_stats()
     assert stats["rhoterm.canon_proc"] > 0
     assert stats["rhoreduce.continuation"] > 0
     assert stats["piterm.pi_canon"] > 0
     assert stats["piterm.groups"] > 0
+    assert stats["encode.params"] > 0
+    assert stats["encode.name_server"] > 0
 
     rhopi.clear_caches()
     assert set(rhopi.cache_stats().values()) == {0}
     cold = [_verdicts_and_evidence(repro_cex1())]
     rhopi.clear_caches()
     cold.append(_verdicts_and_evidence(repro_cex2()))
+    rhopi.clear_caches()
+    cold.append(criteria())
     assert cold == warm
 
 
@@ -195,3 +206,24 @@ def test_criteria_suite_reports_six_checks():
     rep = check_criteria(seed=5, count=6, size=6)
     assert len(rep.checks) == 6
     assert len(set(c.label for c in rep.checks)) == 6
+
+
+def test_completeness_finds_a_deep_match():
+    # seed 1 at size 20 holds (a!u | a?(p0).p0!c) | new p1.(u!a | ...), whose
+    # reduct's translation first matches an encoded state at depth 5, behind
+    # shallower states with the same weak barbs
+    rep = check_criteria(seed=1, count=50, size=20)
+    prop3 = rep.checks[2]
+    assert prop3.label.startswith("prop3")
+    assert prop3.verdict == PASS
+    assert prop3.evidence["tally"][FAIL] == 0
+
+
+def test_unknown_from_a_cut_off_graph_names_the_budget():
+    term = ppar(pout("a", "b"), pin("a", "x", pout("x", "c")))
+    for bounds, budget in (({"max_states": 3}, "max_states"), ({"max_depth": 2}, "max_depth")):
+        rep = check_criteria(corpus=Corpus(seed=1, size_limit=5, terms=[term]), **bounds)
+        for check in (rep.checks[0], rep.checks[2], rep.checks[4]):
+            assert check.verdict == UNKNOWN, check.label
+            (sample,) = check.evidence["samples"]
+            assert sample["evidence"]["budget"] == budget, check.label
