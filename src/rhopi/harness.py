@@ -787,8 +787,9 @@ def _prop1_parameter_independence(b: dict, bounds: dict) -> tuple:
     enc2 = encode_ns(b["term"], policy=b["pol"], params=params2)
     subjects = b["subjects"]
     g1 = b["g_rho"]
-    # a cut-off g1 leaves barbed_bisim only the root barbs to compare, so the
-    # second graph then needs its root alone
+    # barbed_bisim decides a strong check with a cut-off graph on the root
+    # barbs alone (its truncated branch), so a cut-off g1 needs g2's root only;
+    # test_prop1_on_a_cut_off_graph_matches_the_full_check pins this
     g2 = explore(
         enc2.state,
         rho_step,
@@ -835,7 +836,9 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
 
     Completeness runs one weak refinement over ``g_rho`` and the reducts'
     graphs together; it runs only when ``g_rho`` is complete, so sharing a
-    block is bisimilarity outright."""
+    block is bisimilarity outright.  A sub-check left Unknown by a cut-off
+    graph names the bound it hit (``completeness_budget``,
+    ``soundness_budget``)."""
     g_rho, g_pi = b["g_rho"], b["g_pi"]
     subjects = b["subjects"]
     phi = b["phi"]
@@ -852,7 +855,7 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
     if g_rho.truncated:
         verdicts.append(UNKNOWN)
         evidence["completeness"] = "encoded exploration truncated"
-        evidence["budget"] = g_rho.truncated_reason
+        evidence["completeness_budget"] = g_rho.truncated_reason
     else:
         reducts = []
         graphs = [g_rho]
@@ -868,26 +871,25 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
             if g_r.truncated:
                 verdicts.append(UNKNOWN)
                 evidence.setdefault("completeness", "reduct exploration truncated")
-                evidence.setdefault("budget", g_r.truncated_reason)
+                evidence.setdefault("completeness_budget", g_r.truncated_reason)
                 continue
             reducts.append(reduct)
             graphs.append(g_r)
-        blocks = bisim_blocks(graphs, lambda s: rho_barbs(s, subjects))
-        matched = set(blocks[0])
-        for reduct, reduct_blocks in zip(reducts, blocks[1:]):
-            if reduct_blocks[0] in matched:
-                verdicts.append(PASS)
-            else:
-                verdicts.append(FAIL)
-                evidence.setdefault("completeness_failure", show_pi(reduct))
+        if reducts:
+            blocks = bisim_blocks(graphs, lambda s: rho_barbs(s, subjects))
+            matched = set(blocks[0])
+            for reduct, reduct_blocks in zip(reducts, blocks[1:]):
+                if reduct_blocks[0] in matched:
+                    verdicts.append(PASS)
+                else:
+                    verdicts.append(FAIL)
+                    evidence.setdefault("completeness_failure", show_pi(reduct))
 
     # soundness: every encoded state's weak observations match some source state
     if g_rho.truncated or g_pi.truncated:
         verdicts.append(UNKNOWN)
-        evidence.setdefault("soundness", "exploration truncated")
-        evidence.setdefault(
-            "budget", g_rho.truncated_reason or "pi_" + g_pi.truncated_reason
-        )
+        evidence["soundness"] = "exploration truncated"
+        evidence["soundness_budget"] = g_rho.truncated_reason or "pi_" + g_pi.truncated_reason
     else:
         pi_set_pool = set(pi_ws)
         bad = [i for i in range(len(g_rho.states)) if rho_ws[i] not in pi_set_pool]

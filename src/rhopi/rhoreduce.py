@@ -79,12 +79,10 @@ class Redex(NamedTuple):
     subject: RhoName
 
 
-def redexes(p: RhoProc, comps: Optional[tuple] = None) -> list:
+def redexes(p: RhoProc) -> list:
     """All communication redexes of p, in (input position, lift position)
-    order over the canonical component list.  A caller that already holds
-    ``components(p)`` passes it as comps."""
-    if comps is None:
-        comps = components(p)
+    order over the canonical component list."""
+    comps = components(p)
     ins = [(i, c) for i, c in enumerate(comps) if isinstance(c, Input)]
     outs = [(j, c) for j, c in enumerate(comps) if isinstance(c, Lift)]
     found = []
@@ -132,7 +130,7 @@ def step(p: RhoProc) -> list:
     comps = components(p)
     out: list = []
     seen = set()
-    for i, j, _ in redexes(p, comps):
+    for i, j, _ in redexes(p):
         if (i and comps[i - 1] is comps[i]) or (j and comps[j - 1] is comps[j]):
             continue
         q = _reduct(comps, i, j)

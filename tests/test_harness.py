@@ -8,6 +8,7 @@ import random
 import pytest
 
 import rhopi
+from rhopi import harness
 from rhopi.harness import (
     FAIL,
     PASS,
@@ -223,7 +224,69 @@ def test_unknown_from_a_cut_off_graph_names_the_budget():
     term = ppar(pout("a", "b"), pin("a", "x", pout("x", "c")))
     for bounds, budget in (({"max_states": 3}, "max_states"), ({"max_depth": 2}, "max_depth")):
         rep = check_criteria(corpus=Corpus(seed=1, size_limit=5, terms=[term]), **bounds)
-        for check in (rep.checks[0], rep.checks[2], rep.checks[4]):
+        for check, keys in (
+            (rep.checks[0], ["budget"]),
+            (rep.checks[2], ["completeness_budget", "soundness_budget"]),
+            (rep.checks[4], ["budget"]),
+        ):
             assert check.verdict == UNKNOWN, check.label
             (sample,) = check.evidence["samples"]
-            assert sample["evidence"]["budget"] == budget, check.label
+            assert [sample["evidence"][k] for k in keys] == [budget] * len(keys), check.label
+
+
+CRITERIA_BOUNDS = {"max_states": 1500, "max_depth": 80, "pi_max_states": 600, "pi_max_depth": 60}
+
+
+def test_prop3_names_the_budget_of_each_sub_check():
+    # the source graph is cut at depth 1 (soundness) while the encoded graph
+    # is whole and only the reducts' graphs are cut by max_states (completeness)
+    term = ppar(pout("w", "u"), pin("w", "p0", ppar(pout("p0", "c"), pin("p0", "p1", pout("u", "c")))))
+    b = harness._prepare_term(term, dict(CRITERIA_BOUNDS, pi_max_depth=1))
+    assert not b["g_rho"].truncated and b["g_pi"].truncated
+    verdict, evidence = harness._prop3_operational_correspondence(
+        b, dict(CRITERIA_BOUNDS, max_states=2)
+    )
+    assert verdict == UNKNOWN
+    assert evidence["completeness_budget"] == "max_states"
+    assert evidence["soundness_budget"] == "pi_max_depth"
+
+
+def test_prop3_refines_only_when_a_reduct_is_matched(monkeypatch):
+    calls = []
+    real = harness.bisim_blocks
+
+    def recording(graphs, barb_fn, weak=True):
+        calls.append(len(graphs))
+        return real(graphs, barb_fn, weak)
+
+    monkeypatch.setattr(harness, "bisim_blocks", recording)
+    stuck = pout("a", "b")
+    moving = ppar(pout("a", "b"), pin("a", "x", pout("x", "c")))
+    for term, expected in ((stuck, []), (moving, [2])):
+        calls.clear()
+        b = harness._prepare_term(term, CRITERIA_BOUNDS)
+        verdict, _ = harness._prop3_operational_correspondence(b, CRITERIA_BOUNDS)
+        assert verdict == PASS
+        assert calls == expected
+
+
+def test_prop1_on_a_cut_off_graph_matches_the_full_check():
+    # prop1 explores only the second encoding's root when g_rho is cut off;
+    # the strong check over the second graph explored in full agrees
+    term = ppar(pout("a", "b"), pin("a", "x", pout("x", "c")))
+    for cut in ({"max_states": 3}, {"max_depth": 2}):
+        bounds = dict(CRITERIA_BOUNDS, **cut)
+        b = harness._prepare_term(term, bounds)
+        assert b["g_rho"].truncated
+        params2 = harness.make_encoding_params(b["pol"], others=b["params"].all_names())
+        enc2 = harness.encode_ns(b["term"], policy=b["pol"], params=params2)
+        g2 = harness.explore(
+            enc2.state, harness.rho_step, max_states=bounds["max_states"], max_depth=bounds["max_depth"]
+        )
+        full = harness.barbed_bisim(
+            b["g_rho"], g2, lambda s: harness.rho_barbs(s, b["subjects"]), weak=False
+        )
+        verdict, _ = harness._prop1_parameter_independence(b, bounds)
+        assert verdict == {"bisimilar": PASS, "not-bisimilar": FAIL, "unknown": UNKNOWN}[
+            full.verdict.value
+        ]
