@@ -4,6 +4,7 @@ behavioural-criteria suite."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,31 @@ def test_reports_serialize_to_json():
     assert d["name"] and d["passed"] is True
     assert all({"label", "verdict"} <= set(c) for c in d["checks"])
     json.dumps(d)  # must be JSON-clean
+
+
+RECORDED_REPORTS = Path(__file__).parent / "data" / "reports.json"
+
+
+def _recorded_reports() -> dict:
+    reports = {
+        "separation": repro_separation_witness(),
+        "cex1": repro_cex1(),
+        "cex2": repro_cex2(),
+    }
+    for seed in (1, 2):
+        for size in (10, 20):
+            reports[f"criteria_seed{seed}_size{size}"] = check_criteria(seed=seed, size=size)
+    return json.loads(json.dumps({k: _verdicts_and_evidence(r) for k, r in reports.items()}))
+
+
+def test_reports_match_the_recorded_reports():
+    # every verdict, tally, sample and evidence of the packaged reports, as
+    # recorded in tests/data/reports.json
+    recorded = json.loads(RECORDED_REPORTS.read_text())
+    current = _recorded_reports()
+    assert sorted(current) == sorted(recorded)
+    for name, report in current.items():
+        assert report == recorded[name], name
 
 
 def test_report_passes_only_when_every_check_passes():
