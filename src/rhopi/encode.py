@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .piterm import PIn, PNew, PNil, POut, PPar, PRepl, PiTerm
+from .piterm import PIn, PNew, PNil, POut, PPar, PRepl, PiTerm, pi_free_names, ppar
 from .rhoterm import (
     NIL,
     NULL_NAME,
@@ -142,9 +142,6 @@ class RenamingPolicy:
     def known_atoms(self) -> tuple:
         return tuple(self._order)
 
-    def manifest(self) -> dict:
-        return dict(self._map)
-
 
 # ---------------------------------------------------------------------------
 # Machinery processes
@@ -152,13 +149,15 @@ class RenamingPolicy:
 
 # Both memos below are keyed on everything their function reads, so a hit
 # returns exactly the terms a fresh computation would build.
-# (policy image, canonical others, max_tries) -> the chosen EncodingParams
+# (policy image, canonical others) -> the chosen EncodingParams
 _PARAMS: dict = {}
 # EncodingParams -> its name-server process
 _SERVERS: dict = {}
 
 #: this module's derived memo tables, as ``rhopi.cache_stats`` reports them
 DERIVED_CACHES = {"params": _PARAMS, "name_server": _SERVERS}
+
+_MAX_TRIES = 64  # candidates per machine name before the choice gives up
 
 
 def copier(x: RhoName) -> RhoProc:
@@ -237,11 +236,7 @@ def derivable(sources: Iterable[RhoName], target: RhoName) -> bool:
     return go(canon_name(target))
 
 
-def make_encoding_params(
-    policy: RenamingPolicy,
-    others: Iterable[RhoName] = (),
-    max_tries: int = 64,
-) -> EncodingParams:
+def make_encoding_params(policy: RenamingPolicy, others: Iterable[RhoName] = ()) -> EncodingParams:
     """Choose the five machine names, mutually underivable and clear of the
     source-name image.
 
@@ -252,19 +247,18 @@ def make_encoding_params(
     and the base recomputed, if it lies in the namespace generated by an
     already-chosen name or vice versa.
 
-    The choice depends only on the policy image, the canonical others and
-    max_tries, and is memoised on them.
+    The choice depends only on the policy image and the canonical others, and
+    is memoised on them.
     """
     image = policy.image()
     others = tuple(canon_name(o) for o in others)
-    key = (image, others, max_tries)
-    params = _PARAMS.get(key)
+    params = _PARAMS.get((image, others))
     if params is None:
-        params = _PARAMS[key] = _choose_params(image, others, max_tries)
+        params = _PARAMS[(image, others)] = _choose_params(image, others)
     return params
 
 
-def _choose_params(image: frozenset, others: tuple, max_tries: int) -> EncodingParams:
+def _choose_params(image: frozenset, others: tuple) -> EncodingParams:
     avoid = set(image) | {rincr(NULL_NAME)} | set(others)
     chosen: list = []
     # The null name is a permanent guard: a candidate whose quoted body
@@ -272,7 +266,7 @@ def _choose_params(image: frozenset, others: tuple, max_tries: int) -> EncodingP
     # every source image is drawn from.
     guards = [NULL_NAME, *others]
     while len(chosen) < 5:
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             cand = gen_fresh(avoid)
             conflict = any(
                 derivable([c], cand) or derivable([cand], c) for c in chosen + guards
@@ -330,8 +324,6 @@ def translate_ns(
             return nil()
         if len(kids) == 1:
             return translate_ns(kids[0], n, v, policy, derivations, _path)
-        from .piterm import ppar
-
         left = translate_ns(kids[0], lincr(n), v, policy, derivations, _path + ("L",))
         right_term = kids[1] if len(kids) == 2 else ppar(*kids[1:])
         right = translate_ns(right_term, rincr(n), v, policy, derivations, _path + ("R",))
@@ -408,8 +400,6 @@ def translate_mr(
             return nil()
         if len(kids) == 1:
             return translate_mr(kids[0], n, p, policy)
-        from .piterm import ppar
-
         left = translate_mr(kids[0], lincr(n), lincr(p), policy)
         right_term = kids[1] if len(kids) == 2 else ppar(*kids[1:])
         right = translate_mr(right_term, rincr(n), rincr(p), policy)
@@ -494,8 +484,6 @@ def default_mr_params(term: PiTerm, policy: RenamingPolicy) -> tuple:
     """The legacy translation's default parameters: quotes of the parallel
     products of outputs (for n) and inputs (for p) over the images of the
     term's free atoms; increments of @0 when there are none."""
-    from .piterm import pi_free_names
-
     atoms = sorted(pi_free_names(term))
     if not atoms:
         return (lincr(NULL_NAME), rincr(NULL_NAME))

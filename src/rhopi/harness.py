@@ -49,19 +49,12 @@ from .equiv import (
     bisim_blocks,
     graph_divergence,
     pi_barbed_bisim,
-    pi_weak_barb_set,
     rho_graph_divergence,
-    rho_weak_barb_set,
     weak_observations,
 )
-from .lts import Verdict, explore, weak_barb_search
+from .lts import BarbSearch, Verdict, explore, weak_barb_search
 from .piterm import (
-    PIn,
-    PNew,
-    PNil,
-    POut,
     PPar,
-    PRepl,
     PiTerm,
     named,
     pi_barbs,
@@ -74,6 +67,7 @@ from .piterm import (
     pout,
     ppar,
     prepl,
+    rename_atom,
     show_pi,
 )
 from .rhoreduce import barbs as rho_barbs
@@ -286,54 +280,20 @@ def _inclusion_verdict(sub: frozenset, sub_trunc: bool, sup: frozenset, sup_trun
     return UNKNOWN if sub_trunc else PASS
 
 
-def _rename_free_atom(t: PiTerm, old: str, new: str) -> PiTerm:
-    """Replace free occurrences of atom ``old`` by ``new`` in a raw term."""
-
-    def occ(n):
-        return new if n == old else n
-
-    def go(x):
-        if isinstance(x, PNil):
-            return x
-        if isinstance(x, POut):
-            return pout(occ(x.subject), occ(x.obj))
-        if isinstance(x, PIn):
-            if x.binder == old:
-                return pin(occ(x.subject), x.binder, x.body)
-            return pin(occ(x.subject), x.binder, go(x.body))
-        if isinstance(x, PNew):
-            if x.binder == old:
-                return x
-            return pnew(x.binder, go(x.body))
-        if isinstance(x, PRepl):
-            return prepl(go(x.body))
-        return ppar(*(go(c) for c in x.children))
-
-    return go(t)
+def _all_barbs(g, barb_fn) -> frozenset:
+    """The union of barb_fn over every state of an explored graph."""
+    return frozenset().union(*map(barb_fn, g.states))
 
 
-def _atoms_in_raw(t: PiTerm) -> set:
-    acc: set = set()
-
-    def go(x):
-        if isinstance(x, POut):
-            acc.add(x.subject)
-            acc.add(x.obj)
-        elif isinstance(x, PIn):
-            acc.add(x.subject)
-            acc.add(x.binder)
-            go(x.body)
-        elif isinstance(x, PNew):
-            acc.add(x.binder)
-            go(x.body)
-        elif isinstance(x, PRepl):
-            go(x.body)
-        elif isinstance(x, PPar):
-            for c in x.children:
-                go(c)
-
-    go(t)
-    return {a for a in acc if isinstance(a, str)}
+def _flag_search(root, step_fn, barbs_fn, subject, max_states: int, max_depth: int) -> BarbSearch:
+    """Does root, or some reduct of it, output on subject?"""
+    return weak_barb_search(
+        root,
+        step_fn,
+        lambda s: ("out", subject) in barbs_fn(s, [subject]),
+        max_states=max_states,
+        max_depth=max_depth,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +301,7 @@ def _atoms_in_raw(t: PiTerm) -> set:
 # ---------------------------------------------------------------------------
 
 
-def repro_separation_witness(max_states: int = 64, max_depth: int = 8) -> Report:
+def repro_separation_witness() -> Report:
     """A term whose one-step reduct outputs on a name the term itself neither
     contains free nor can be observed at: observation is not monotone under
     reduction because outputs mint names at runtime."""
@@ -385,12 +345,7 @@ def repro_separation_witness(max_states: int = 64, max_depth: int = 8) -> Report
             },
         )
     )
-    return Report(
-        "separation",
-        checks,
-        {"max_states": max_states, "max_depth": max_depth},
-        time.perf_counter() - t0,
-    )
+    return Report("separation", checks, elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +368,6 @@ def _cex_context() -> PiTerm:
 
 
 def repro_cex1(
-    q: Optional[PiTerm] = None,
     max_states: int = 20000,
     max_depth: int = 26,
     pi_max_states: int = 4000,
@@ -424,12 +378,10 @@ def repro_cex1(
     encodings are not, because both emit a constant derived object on the
     image of u."""
     t0 = time.perf_counter()
-    if q is None:
-        q = pnil()
-
-    inner = ppar(pnew("z", pout("u", "z")), q)  # (new z. u!z) | Q
-    p1 = prepl(inner)  # fresh z each round
-    p2 = pnew("z", prepl(ppar(pout("u", "z"), q)))  # one shared z
+    # the legacy translation splits its parameters at every Par, so the
+    # literal "| 0" fixes the expected objects below
+    p1 = prepl(ppar(pnew("z", pout("u", "z")), pnil()))  # fresh z each round
+    p2 = pnew("z", prepl(ppar(pout("u", "z"), pnil())))  # one shared z
     ctx = _cex_context()
     c1 = ppar(p1, ctx)
     c2 = ppar(p2, ctx)
@@ -437,13 +389,7 @@ def repro_cex1(
     checks = []
 
     # (i) the sources are distinguished in the name-passing calculus
-    s1 = weak_barb_search(
-        pi_canon(c1),
-        pi_step,
-        lambda s: ("out", "x") in pi_barbs(s),
-        max_states=pi_max_states,
-        max_depth=pi_max_depth,
-    )
+    s1 = _flag_search(pi_canon(c1), pi_step, pi_barbs, "x", pi_max_states, pi_max_depth)
     if s1.verdict is Verdict.UNKNOWN:
         raise BoundsTooSmall("source-side exploration of the fresh-per-round term was cut off")
     checks.append(
@@ -453,13 +399,7 @@ def repro_cex1(
             {"explored": s1.explored, "verdict": s1.verdict.value},
         )
     )
-    s2 = weak_barb_search(
-        pi_canon(c2),
-        pi_step,
-        lambda s: ("out", "x") in pi_barbs(s),
-        max_states=pi_max_states,
-        max_depth=pi_max_depth,
-    )
+    s2 = _flag_search(pi_canon(c2), pi_step, pi_barbs, "x", pi_max_states, pi_max_depth)
     if s2.verdict is not Verdict.YES:
         raise BoundsTooSmall("source-side exploration of the shared-restriction term found no flag")
     checks.append(
@@ -484,19 +424,14 @@ def repro_cex1(
     expected1 = canon_name(lincr(side_param))  # frozen derived name, per round
     expected2 = canon_name(side_param)  # the minted name is the side parameter
 
-    results = {}
+    graphs = {}
     for tag, enc, expected in (
         ("fresh-per-round", enc1, expected1),
         ("shared", enc2, expected2),
     ):
-        g = explore(enc.state, rho_step, max_states=max_states, max_depth=max_depth)
-        objs = set()
-        flagged = False
-        for st in g.states:
-            objs.update(_objects_on(st, phi_u))
-            if not flagged and ("out", phi_x) in rho_barbs(st, [phi_x]):
-                flagged = True
-        results[tag] = (g, objs, flagged)
+        g = graphs[tag] = explore(enc.state, rho_step, max_states=max_states, max_depth=max_depth)
+        objs = {o for st in g.states for o in _objects_on(st, phi_u)}
+        flagged = any(("out", phi_x) in rho_barbs(st, [phi_x]) for st in g.states)
         if not flagged or not objs:
             raise BoundsTooSmall(
                 f"legacy exploration of the {tag} translation did not complete two rounds"
@@ -514,22 +449,12 @@ def repro_cex1(
                 },
             )
         )
-    checks.append(
-        Check(
-            "encoded side: both translated contexts flag on phi(x)",
-            PASS if results["fresh-per-round"][2] and results["shared"][2] else FAIL,
-            None,
-        )
-    )
+    # a translation that never flagged raised BoundsTooSmall above
+    checks.append(Check("encoded side: both translated contexts flag on phi(x)", PASS, None))
 
     # (iii) no restricted barb separates the two encodings within bounds
     subjects = [phi_u, phi_x, phi_o]
-    w1 = frozenset()
-    w2 = frozenset()
-    for st in results["fresh-per-round"][0].states:
-        w1 |= rho_barbs(st, subjects)
-    for st in results["shared"][0].states:
-        w2 |= rho_barbs(st, subjects)
+    w1, w2 = (_all_barbs(g, lambda s: rho_barbs(s, subjects)) for g in graphs.values())
     checks.append(
         Check(
             "encoded side: restricted weak barbs coincide within bounds",
@@ -550,7 +475,6 @@ def repro_cex1(
             "max_depth": max_depth,
             "pi_max_states": pi_max_states,
             "pi_max_depth": pi_max_depth,
-            "q": show_pi(q),
         },
         time.perf_counter() - t0,
     )
@@ -684,20 +608,8 @@ def repro_cex2(
     encc1 = encode_mr(c1, policy=pol2)
     encc2 = encode_mr(c2, policy=pol2)
     phi_x = pol2.name_for("x")
-    f1 = weak_barb_search(
-        encc1.state,
-        rho_step,
-        lambda s: ("out", phi_x) in rho_barbs(s, [phi_x]),
-        max_states=search_max_states,
-        max_depth=search_max_depth,
-    )
-    f2 = weak_barb_search(
-        encc2.state,
-        rho_step,
-        lambda s: ("out", phi_x) in rho_barbs(s, [phi_x]),
-        max_states=search_max_states,
-        max_depth=search_max_depth,
-    )
+    f1 = _flag_search(encc1.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
+    f2 = _flag_search(encc2.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
     separated = f1.verdict is not Verdict.YES and f2.verdict is Verdict.YES
     checks.append(
         Check(
@@ -808,15 +720,15 @@ def _prop1_parameter_independence(b: dict, bounds: dict) -> tuple:
 def _prop2_substitution_invariance(b: dict, rng: random.Random) -> tuple:
     """Renaming a free source atom commutes with encoding: translate the
     renamed source, or rename the translated term — same canonical result."""
-    taken = _atoms_in_raw(b["term"])
+    pol = b["pol"]
+    taken = set(pol.known_atoms())  # every atom of the term, bound ones too
     fresh = (f"v{i}" for i in range(len(taken) + 2))
     spare = [a for a in fresh if a not in taken]
     u = spare[0]
     w = rng.choice(b["fn"]) if b["fn"] else spare[1]
-    pol = b["pol"]
     phi_w = pol.name_for(w)
     phi_u = pol.name_for(u)
-    renamed = _rename_free_atom(b["term"], w, u)
+    renamed = rename_atom(b["term"], u, w)
     e_sigma = encode_ns(renamed, policy=pol, params=b["params"]).state
     e_subst = canon_proc(subst_syn(b["enc"].state, phi_u, phi_w))
     if e_sigma is e_subst:
@@ -906,7 +818,10 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
 
 def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
     """Immediate source observations survive encoding (componentwise, weakly),
-    and encoded observations never exceed the source's weak observations."""
+    and encoded observations never exceed the source's weak observations.
+    A sub-check left Unknown by a cut-off graph names the bound it hit
+    (``barbs_budget``, ``inclusion_budget``; ``pi_`` marks a source leaf's
+    graph)."""
     leaves = []
     stack = [b["term"]]
     while stack:
@@ -915,44 +830,49 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
             stack.extend(reversed(x.children))
         else:
             leaves.append(x)
-    parts = [encode_ns(leaf, policy=b["pol"]) for leaf in leaves]
     phi = b["phi"]
     subjects = b["subjects"]
     # each part's weak barbs, observed separately: component interaction is
     # out of view, which is what makes them compare cleanly against the
     # source's own barbs
-    weak_sets = [
-        rho_weak_barb_set(
-            part.state,
-            subjects,
+    graphs = [
+        explore(
+            encode_ns(leaf, policy=b["pol"]).state,
+            rho_step,
             max_states=bounds["max_states"],
             max_depth=bounds["max_depth"],
         )
-        for part in parts
+        for leaf in leaves
     ]
-    cut = any(wtr for _, wtr in weak_sets)
+    weak_sets = [_all_barbs(g, lambda s: rho_barbs(s, subjects)) for g in graphs]
+    cut = next((g.truncated_reason for g in graphs if g.truncated), None)
     verdicts = []
     evidence = {}
 
     for d, a in pi_barbs(b["canon"], b["fn"]):
-        if any((d, phi[a]) in wset for wset, _ in weak_sets):
+        if any((d, phi[a]) in wset for wset in weak_sets):
             verdicts.append(PASS)
         elif cut:
             verdicts.append(UNKNOWN)
+            evidence.setdefault("barbs_budget", cut)
         else:
             verdicts.append(FAIL)
             evidence.setdefault("missing_barb", f"{d} {a}")
 
-    for leaf, (wset, wtr) in zip(leaves, weak_sets):
-        pw, ptr = pi_weak_barb_set(
-            leaf,
-            b["fn"],
+    for leaf, g, wset in zip(leaves, graphs, weak_sets):
+        g_pi = explore(
+            pi_canon(leaf),
+            pi_step,
             max_states=bounds["pi_max_states"],
             max_depth=bounds["pi_max_depth"],
         )
-        v = _inclusion_verdict(wset, wtr, _map_pi_barbs(pw, phi), ptr)
-        if v == FAIL:
-            extra = wset - _map_pi_barbs(pw, phi)
+        pw = _map_pi_barbs(_all_barbs(g_pi, lambda s: pi_barbs(s, b["fn"])), phi)
+        v = _inclusion_verdict(wset, g.truncated, pw, g_pi.truncated)
+        if v == UNKNOWN:
+            budget = g.truncated_reason if wset <= pw else "pi_" + g_pi.truncated_reason
+            evidence.setdefault("inclusion_budget", budget)
+        elif v == FAIL:
+            extra = wset - pw
             evidence.setdefault(
                 "excess_barbs",
                 {

@@ -20,7 +20,7 @@ witness.  ``weak_barb_search`` reads a three-valued verdict off such a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -40,6 +40,7 @@ class Lts:
     root), giving shortest traces back to the root.  hit is the index of the
     state that satisfied explore's stop predicate, if any; the exploration
     ended there, so states discovered but not yet expanded have no edges.
+    index maps each state to its position in states.
     """
 
     states: list
@@ -49,12 +50,7 @@ class Lts:
     truncated: bool
     truncated_reason: Optional[str] = None
     hit: Optional[int] = None
-
-    @property
-    def index(self) -> dict:
-        if not hasattr(self, "_index"):
-            object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
-        return self._index
+    index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def trace_to(self, i: int) -> list:
         """States along the BFS tree path from the root to state i."""
@@ -114,9 +110,7 @@ def explore(
                 seen_targets.add(j)
                 edges[i].append(j)
 
-    lts = Lts(states, edges, depths, parents, truncated, reason, hit)
-    object.__setattr__(lts, "_index", index)
-    return lts
+    return Lts(states, edges, depths, parents, truncated, reason, hit, index)
 
 
 class Verdict(Enum):

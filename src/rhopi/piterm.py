@@ -68,6 +68,7 @@ __all__ = [
     "pi_free_names",
     "pi_step",
     "pi_barbs",
+    "rename_atom",
     "subst_atom",
     "show_pi",
 ]
@@ -285,7 +286,8 @@ def _named(t: PiTerm, env: dict, gen: _Gensym) -> PiTerm:
 
 
 def _fn_named(t: PiTerm) -> frozenset:
-    """Free atoms of a term whose binders are all atoms (post-uniquify)."""
+    """Free atoms of a term; a marker is never an atom, so this serves named
+    and canonical terms alike."""
     if isinstance(t, PNil):
         return frozenset()
     if isinstance(t, POut):
@@ -316,28 +318,28 @@ def _simp(t: PiTerm) -> PiTerm:
         return pin(t.subject, t.binder, _simp(t.body))
     if isinstance(t, PRepl):
         return prepl(_simp(t.body))
-    binders, items = _hoist_simp(t)
-    return _scope_split(binders, items)
+    # a hoisted item is a guard, which _simp never turns into a Par, New or 0
+    binders, items = _hoist(t)
+    return _scope_split(binders, [_simp(it) for it in items])
 
 
-def _hoist_simp(t: PiTerm) -> tuple:
-    """Pull every restriction of a parallel/restriction region up to the
-    region root, simplifying the guarded terms below; nil children vanish."""
+def _hoist(t: PiTerm) -> tuple:
+    """Split a named term into (restricted atoms, parallel items), hoisting
+    restrictions through parallel composition only (never past a guard)."""
+    if isinstance(t, PNil):
+        return ([], [])
     if isinstance(t, PNew):
-        binders, items = _hoist_simp(t.body)
+        binders, items = _hoist(t.body)
         return ([t.binder] + binders, items)
     if isinstance(t, PPar):
         all_binders: list = []
         all_items: list = []
         for c in t.children:
-            b, i = _hoist_simp(c)
+            b, i = _hoist(c)
             all_binders.extend(b)
             all_items.extend(i)
         return (all_binders, all_items)
-    s = _simp(t)  # a guard or leaf; cannot become Par or New
-    if isinstance(s, PNil):
-        return ([], [])
-    return ([], [s])
+    return ([], [t])
 
 
 def _scope_split(binders: list, items: list) -> PiTerm:
@@ -460,77 +462,38 @@ def pi_eq(a: PiTerm, b: PiTerm) -> bool:
 def pi_free_names(t: PiTerm) -> frozenset:
     """Free atoms of t (bound names never leak: they are markers after
     canonicalization)."""
-    c = pi_canon(t)
-    acc: set = set()
-
-    def walk(x: PiTerm) -> None:
-        if isinstance(x, PNil):
-            return
-        if isinstance(x, POut):
-            if isinstance(x.subject, str):
-                acc.add(x.subject)
-            if isinstance(x.obj, str):
-                acc.add(x.obj)
-        elif isinstance(x, PIn):
-            if isinstance(x.subject, str):
-                acc.add(x.subject)
-            walk(x.body)
-        elif isinstance(x, (PNew, PRepl)):
-            walk(x.body)
-        else:
-            for ch in x.children:
-                walk(ch)
-
-    walk(c)
-    return frozenset(acc)
+    return _fn_named(pi_canon(t))
 
 
 def subst_atom(t: PiTerm, new: str, old: str) -> PiTerm:
     """Capture-free substitution of the atom new for free occurrences of the
     atom old; returns a canonical term."""
-    return pi_canon(_rename_atom(pi_canon(t), new, old))
+    return pi_canon(rename_atom(pi_canon(t), new, old))
 
 
-def _rename_atom(t: PiTerm, new: str, old: str) -> PiTerm:
-    """Replace every occurrence of the atom old by new in a term whose
-    binders cannot capture or shadow it (canonical markers, or the distinct
-    reserved atoms of ``named``)."""
+def rename_atom(t: PiTerm, new: str, old: str) -> PiTerm:
+    """Replace the free occurrences of the atom old by new, without
+    canonicalizing.  A binder named old shadows it below; new must not be the
+    name of a binder over an occurrence (canonical markers, the reserved
+    atoms of ``named`` and a fresh atom never are)."""
     if isinstance(t, PNil):
         return t
     if isinstance(t, POut):
         return pout(new if t.subject == old else t.subject, new if t.obj == old else t.obj)
     if isinstance(t, PIn):
         subject = new if t.subject == old else t.subject
-        return pin(subject, t.binder, _rename_atom(t.body, new, old))
+        body = t.body if t.binder == old else rename_atom(t.body, new, old)
+        return pin(subject, t.binder, body)
     if isinstance(t, PNew):
-        return pnew(t.binder, _rename_atom(t.body, new, old))
+        return t if t.binder == old else pnew(t.binder, rename_atom(t.body, new, old))
     if isinstance(t, PRepl):
-        return prepl(_rename_atom(t.body, new, old))
-    return ppar(*(_rename_atom(c, new, old) for c in t.children))
+        return prepl(rename_atom(t.body, new, old))
+    return ppar(*(rename_atom(c, new, old) for c in t.children))
 
 
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------
-
-
-def _hoist(t: PiTerm) -> tuple:
-    """Split a named term into (restricted atoms, parallel items), hoisting
-    restrictions through parallel composition only (never past a guard)."""
-    if isinstance(t, PNil):
-        return ([], [])
-    if isinstance(t, PNew):
-        binders, items = _hoist(t.body)
-        return ([t.binder] + binders, items)
-    if isinstance(t, PPar):
-        all_binders: list = []
-        all_items: list = []
-        for c in t.children:
-            b, i = _hoist(c)
-            all_binders.extend(b)
-            all_items.extend(i)
-        return (all_binders, all_items)
-    return ([], [t])
 
 
 # (canonical top-level child, naming tag) -> its hoisted named decomposition
@@ -604,7 +567,7 @@ def pi_step(t: PiTerm) -> list:
                 other = _group(children[gj], "t")
                 outj = _soup_item(other, oj)
                 touched = sorted([(gi, groups[gi], {oi}), (gj, other, {oj})])
-            succ = _reduct(children, touched, _rename_atom(ini.body, outj.obj, ini.binder))
+            succ = _reduct(children, touched, rename_atom(ini.body, outj.obj, ini.binder))
             if succ not in seen:
                 seen.add(succ)
                 successors.append(succ)

@@ -509,3 +509,29 @@ def reference_pi_step(t) -> list:
                 seen.add(succ)
                 successors.append(succ)
     return successors
+
+
+def reference_pi_free_names(t) -> frozenset:
+    """Free atoms of a pi term, read off its canonical form, where every
+    bound name is a marker: each atom in a subject or object position."""
+    from rhopi.piterm import PIn, PNew, PNil, POut, PRepl, pi_canon
+
+    acc = set()
+
+    def walk(x) -> None:
+        if isinstance(x, PNil):
+            return
+        if isinstance(x, POut):
+            acc.update(n for n in (x.subject, x.obj) if isinstance(n, str))
+        elif isinstance(x, PIn):
+            if isinstance(x.subject, str):
+                acc.add(x.subject)
+            walk(x.body)
+        elif isinstance(x, (PNew, PRepl)):
+            walk(x.body)
+        else:
+            for ch in x.children:
+                walk(ch)
+
+    walk(pi_canon(t))
+    return frozenset(acc)

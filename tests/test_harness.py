@@ -25,7 +25,7 @@ from rhopi.harness import (
     repro_cex2,
     repro_separation_witness,
 )
-from rhopi.piterm import PIn, PNew, PPar, PRepl, pin, pout, ppar, prepl, show_pi
+from rhopi.piterm import PIn, PNew, PPar, PRepl, pin, pnew, pout, ppar, prepl, show_pi
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,18 @@ def test_unknown_from_a_cut_off_graph_names_the_budget():
             assert check.verdict == UNKNOWN, check.label
             (sample,) = check.evidence["samples"]
             assert [sample["evidence"][k] for k in keys] == [budget] * len(keys), check.label
+    # prop4 names the bound of each sub-check, pi_ marking a source leaf's graph
+    sending = ppar(pnew("z", pout("a", "z")), pin("a", "x", pout("x", "c")))
+    internal = pnew("z", ppar(pout("z", "b"), pin("z", "y", pout("a", "y"))))
+    for term, bounds, evidence in (
+        (sending, {"max_states": 3}, {"barbs_budget": "max_states", "inclusion_budget": "max_states"}),
+        (sending, {"max_depth": 2}, {"barbs_budget": "max_depth", "inclusion_budget": "max_depth"}),
+        (internal, {"pi_max_states": 1}, {"inclusion_budget": "pi_max_states"}),
+        (internal, {"pi_max_depth": 0}, {"inclusion_budget": "pi_max_depth"}),
+    ):
+        rep = check_criteria(corpus=Corpus(seed=1, size_limit=5, terms=[term]), **bounds)
+        (sample,) = rep.checks[3].evidence["samples"]
+        assert (sample["verdict"], sample["evidence"]) == (UNKNOWN, evidence), bounds
 
 
 CRITERIA_BOUNDS = {"max_states": 1500, "max_depth": 80, "pi_max_states": 600, "pi_max_depth": 60}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhopi
-from oracles import reference_pi_step
+from oracles import reference_pi_free_names, reference_pi_step
 from rhopi.cli import parse_pi
 from rhopi.harness import make_corpus, random_pi_term
 from rhopi.lts import explore
@@ -28,6 +28,7 @@ from rhopi.piterm import (
     pout,
     ppar,
     prepl,
+    rename_atom,
     show_pi,
     subst_atom,
 )
@@ -181,6 +182,31 @@ def test_subst_atom_on_restricted_name_is_identity():
     assert subst_atom(t, "w", "z") is pi_canon(t)
 
 
+def test_rename_atom_renames_free_occurrences_in_every_position():
+    t = ppar(
+        pout("x", "x"),
+        pin("x", "y", pout("y", "x")),
+        pnew("z", pout("z", "x")),
+        prepl(pin("x", "v", pout("v", "x"))),
+    )
+    assert rename_atom(t, "w", "x") is ppar(
+        pout("w", "w"),
+        pin("w", "y", pout("y", "w")),
+        pnew("z", pout("z", "w")),
+        prepl(pin("w", "v", pout("v", "w"))),
+    )
+
+
+def test_rename_atom_stops_at_a_binder_named_old():
+    # raw terms: a binder named w shadows the free w below it, while the
+    # input's own subject is outside its scope
+    t = ppar(pin("x", "w", pout("w", "a")), pout("w", "b"))
+    assert rename_atom(t, "u", "w") is ppar(pin("x", "w", pout("w", "a")), pout("u", "b"))
+    assert rename_atom(pin("w", "w", pout("w", "a")), "u", "w") is pin("u", "w", pout("w", "a"))
+    t = ppar(pnew("w", pout("w", "a")), pout("a", "w"))
+    assert rename_atom(t, "u", "w") is ppar(pnew("w", pout("w", "a")), pout("a", "u"))
+
+
 # ---------------------------------------------------------------------------
 # Named forms
 # ---------------------------------------------------------------------------
@@ -225,6 +251,15 @@ def reachable(*terms):
         for s in explore(pi_canon(t), pi_step, max_states=600, max_depth=60).states:
             seen[s] = None
     return list(seen)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_free_names_match_the_reference_walk(seed):
+    terms = make_corpus(seed=seed, count=50, size_limit=20).terms
+    states = reachable(*terms)
+    assert len(states) > 50
+    for t in terms + states:
+        assert pi_free_names(t) == reference_pi_free_names(t), show_pi(t)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
