@@ -75,18 +75,11 @@ __all__ = [
 
 
 class PiTerm:
-    """Base class for interned pi terms; construct via the factories."""
+    """Base class for interned pi terms; construct via the factories.  Equal
+    trees are the same object, so ``object``'s identity ``==`` and ``hash``
+    are the term's."""
 
-    __slots__ = ("key", "_hash")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other
+    __slots__ = ("key",)
 
     def __repr__(self) -> str:
         return show_pi(self)
@@ -121,16 +114,7 @@ class PiMarker:
     """Canonical bound name: the nesting depth of its binder (input and
     restriction binders share one depth counter along each path)."""
 
-    __slots__ = ("index", "key", "_hash")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other
+    __slots__ = ("index", "key")
 
     def __repr__(self) -> str:
         return f"<bound {self.index}>"
@@ -140,26 +124,17 @@ class PiMarker:
 PiName = Union[str, PiMarker]
 
 _PINTERN: dict = {}
-_PSALT = {
-    PNil: 0x11A7C24D,
-    POut: 0x23B8D35E,
-    PIn: 0x35C9E46F,
-    PRepl: 0x47DAF570,
-    PNew: 0x59EB0681,
-    PPar: 0x6BFC1792,
-    PiMarker: 0x7D0D28A3,
-}
 
 
-def _pmk(cls, fields: tuple, key: tuple, hsh: int):
+def _pmk(cls, fields: tuple, key: tuple):
     ident = (cls, *fields)
     node = _PINTERN.get(ident)
     if node is None:
-        node = _padd(ident, key, hsh)
+        node = _padd(ident, key)
     return node
 
 
-def _padd(ident: tuple, key: tuple, hsh: int):
+def _padd(ident: tuple, key: tuple):
     """Build and intern the node that ident, ``(class, *fields)``, names;
     the caller found no entry for it in ``_PINTERN``."""
     cls = ident[0]
@@ -167,7 +142,6 @@ def _padd(ident: tuple, key: tuple, hsh: int):
     for slot, value in zip(cls.__slots__, ident[1:]):
         setattr(fresh, slot, value)
     fresh.key = key
-    fresh._hash = hsh
     return _PINTERN.setdefault(ident, fresh)
 
 
@@ -177,22 +151,17 @@ def _name_key(n: PiName) -> tuple:
     return (0, n)
 
 
-def _name_hash(n: PiName) -> int:
-    return hash(n)
-
-
 def pimarker(index: int) -> PiMarker:
     m = _PINTERN.get((PiMarker, index))
     if m is None:
         fresh = PiMarker.__new__(PiMarker)
         fresh.index = index
         fresh.key = (1, index)
-        fresh._hash = hash((_PSALT[PiMarker], index))
         m = _PINTERN.setdefault((PiMarker, index), fresh)
     return m
 
 
-_PNIL = _pmk(PNil, (), (0,), _PSALT[PNil])
+_PNIL = _pmk(PNil, (), (0,))
 
 
 def pnil() -> PiTerm:
@@ -201,23 +170,21 @@ def pnil() -> PiTerm:
 
 def pout(subject: PiName, obj: PiName) -> PiTerm:
     key = (1, _name_key(subject), _name_key(obj))
-    return _pmk(POut, (subject, obj), key, hash((_PSALT[POut], subject, obj)))
+    return _pmk(POut, (subject, obj), key)
 
 
 def pin(subject: PiName, binder: PiName, body: PiTerm) -> PiTerm:
     key = (2, _name_key(subject), _name_key(binder), body.key)
-    return _pmk(
-        PIn, (subject, binder, body), key, hash((_PSALT[PIn], subject, binder, body._hash))
-    )
+    return _pmk(PIn, (subject, binder, body), key)
 
 
 def prepl(body: PiTerm) -> PiTerm:
-    return _pmk(PRepl, (body,), (3, body.key), hash((_PSALT[PRepl], body._hash)))
+    return _pmk(PRepl, (body,), (3, body.key))
 
 
 def pnew(binder: PiName, body: PiTerm) -> PiTerm:
     key = (4, _name_key(binder), body.key)
-    return _pmk(PNew, (binder, body), key, hash((_PSALT[PNew], binder, body._hash)))
+    return _pmk(PNew, (binder, body), key)
 
 
 def ppar(*children: PiTerm) -> PiTerm:
@@ -227,12 +194,11 @@ def ppar(*children: PiTerm) -> PiTerm:
         return _PNIL
     if len(children) == 1:
         return children[0]
-    # look the node up before paying for its key and hash, as ``rhoterm.par``
+    # look the node up before paying for its key, as ``rhoterm.par``
     ident = (PPar, children)
     node = _PINTERN.get(ident)
     if node is None:
-        key = (5, *(c.key for c in children))
-        node = _padd(ident, key, hash((_PSALT[PPar], *(c._hash for c in children))))
+        node = _padd(ident, (5, *(c.key for c in children)))
     return node
 
 

@@ -31,9 +31,10 @@ on children).  The drop of a quote, ``*(@P)``, is deliberately NOT rewritten
 to P: the collapse is a law of names, not of processes.
 
 All nodes are interned: equal trees are the same Python object, so identity
-is equality and canonical-form comparison is a pointer check.  The interning
-and canonicalization tables behave as thread-safe pure caches (they only ever
-map a key to one value; concurrent insertion is benign).
+is equality and the hash (both inherited from ``object``), and canonical-form
+comparison is a pointer check.  The interning and canonicalization tables
+behave as thread-safe pure caches (they only ever map a key to one value;
+concurrent insertion is benign).
 
 Substitution never recurses into a quoted process: a name position whose
 whole name is equivalent to the target is replaced, anything strictly inside
@@ -103,21 +104,12 @@ class RhoTerm:
 
     Construct only through the module factories (``nil``, ``par``, ``lift``,
     ``inp``, ``drop``, ``quote``, ``marker``); they intern every node, so
-    structurally equal trees are the same object and ``is`` decides equality.
-    ``key`` is a nested tuple realizing the total term order used for sorting
-    parallel children.
+    structurally equal trees are the same object, and ``object``'s identity
+    ``==`` and ``hash`` are the term's.  ``key`` is a nested tuple realizing
+    the total term order used for sorting parallel children.
     """
 
-    __slots__ = ("key", "_hash")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __ne__(self, other: object) -> bool:
-        return self is not other
+    __slots__ = ("key",)
 
 
 class RhoProc(RhoTerm):
@@ -173,26 +165,16 @@ class BoundMarker(RhoName):
 
 _INTERN: dict = {}
 
-_SALT = {
-    Nil: 0x1D872A61,
-    Par: 0x22C49D13,
-    Lift: 0x39F1B55F,
-    Input: 0x4ACD2E89,
-    Drop: 0x5B3E96F7,
-    Quote: 0x6CF08A2B,
-    BoundMarker: 0x7E55C3D1,
-}
 
-
-def _mk(cls, fields: tuple, key: tuple, hsh: int):
+def _mk(cls, fields: tuple, key: tuple):
     ident = (cls, *fields)
     node = _INTERN.get(ident)
     if node is None:
-        node = _add(ident, key, hsh)
+        node = _add(ident, key)
     return node
 
 
-def _add(ident: tuple, key: tuple, hsh: int):
+def _add(ident: tuple, key: tuple):
     """Build and intern the node that ident, ``(class, *fields)``, names;
     the caller found no entry for it in ``_INTERN``."""
     cls = ident[0]
@@ -200,11 +182,10 @@ def _add(ident: tuple, key: tuple, hsh: int):
     for slot, value in zip(cls.__slots__, ident[1:]):
         setattr(fresh, slot, value)
     fresh.key = key
-    fresh._hash = hsh
     return _INTERN.setdefault(ident, fresh)
 
 
-_NIL_NODE = _mk(Nil, (), (0,), _SALT[Nil])
+_NIL_NODE = _mk(Nil, (), (0,))
 NIL: RhoProc = _NIL_NODE
 
 
@@ -226,43 +207,32 @@ def par(*children: RhoProc) -> RhoProc:
     if len(children) == 1:
         return children[0]
     # most Pars a reduction builds are already interned: look the node up
-    # before paying for its key and hash
+    # before paying for its key
     ident = (Par, children)
     node = _INTERN.get(ident)
     if node is None:
-        key = (4, *(c.key for c in children))
-        node = _add(ident, key, hash((_SALT[Par], *(c._hash for c in children))))
+        node = _add(ident, (4, *(c.key for c in children)))
     return node
 
 
 def lift(subject: RhoName, body: RhoProc) -> RhoProc:
     """The output ``subject!(body)``."""
-    return _mk(
-        Lift,
-        (subject, body),
-        (2, subject.key, body.key),
-        hash((_SALT[Lift], subject._hash, body._hash)),
-    )
+    return _mk(Lift, (subject, body), (2, subject.key, body.key))
 
 
 def inp(subject: RhoName, binder: RhoName, body: RhoProc) -> RhoProc:
     """The input ``subject?(binder).body``."""
-    return _mk(
-        Input,
-        (subject, binder, body),
-        (3, subject.key, binder.key, body.key),
-        hash((_SALT[Input], subject._hash, binder._hash, body._hash)),
-    )
+    return _mk(Input, (subject, binder, body), (3, subject.key, binder.key, body.key))
 
 
 def drop(name: RhoName) -> RhoProc:
     """The drop ``*name``."""
-    return _mk(Drop, (name,), (1, name.key), hash((_SALT[Drop], name._hash)))
+    return _mk(Drop, (name,), (1, name.key))
 
 
 def quote(body: RhoProc) -> RhoName:
     """The name ``@body``."""
-    return _mk(Quote, (body,), (0, body.key), hash((_SALT[Quote], body._hash)))
+    return _mk(Quote, (body,), (0, body.key))
 
 
 def marker(index: int) -> RhoName:
@@ -271,7 +241,7 @@ def marker(index: int) -> RhoName:
     Markers appear in canonical and internal forms only; user-built terms use
     real (quoted) names as binders.
     """
-    return _mk(BoundMarker, (index,), (1, index), hash((_SALT[BoundMarker], index)))
+    return _mk(BoundMarker, (index,), (1, index))
 
 
 NULL_NAME: RhoName = quote(NIL)  # @0, the simplest name

@@ -3,7 +3,10 @@ reproductions, bound handling, report serialization, and determinism of the
 behavioural-criteria suite."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,24 @@ def test_reports_match_the_recorded_reports():
     assert sorted(current) == sorted(recorded)
     for name, report in current.items():
         assert report == recorded[name], name
+
+
+def test_reports_do_not_depend_on_hash_values():
+    # terms hash by identity, so a set of terms iterates in an order that
+    # varies from process to process; no such order may reach a report
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONHASHSEED="4242")
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = "import json, test_harness; print(json.dumps(test_harness._recorded_reports()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout
+    assert json.loads(out) == json.loads(RECORDED_REPORTS.read_text())
 
 
 def test_report_passes_only_when_every_check_passes():

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from rhopi import equiv, harness
-from rhopi.piterm import _PINTERN, _PSALT, PiTerm, PPar, pout, ppar
+from rhopi.piterm import _PINTERN, PiMarker, PiTerm, PPar, pimarker, pout, ppar
 from rhopi.rhoterm import (
     _INTERN,
-    _SALT,
     NULL_NAME,
     BoundMarker,
     NamespaceScheme,
     Par,
+    Quote,
     RhoTerm,
     canon_name,
     canon_par_into,
@@ -267,7 +267,7 @@ def _reachable(roots, base):
     return list(found.values())
 
 
-def test_interned_pars_carry_the_eagerly_built_key_and_hash(monkeypatch):
+def test_interned_pars_carry_the_eagerly_built_key(monkeypatch):
     states = []
 
     def recording(step):
@@ -281,16 +281,42 @@ def test_interned_pars_carry_the_eagerly_built_key_and_hash(monkeypatch):
     monkeypatch.setattr(equiv, "rho_step", recording(equiv.rho_step))
     monkeypatch.setattr(harness, "pi_step", recording(harness.pi_step))
     harness.repro_cex1()
-    for base, cls, tag, salt, table in (
-        (RhoTerm, Par, 4, _SALT, _INTERN),
-        (PiTerm, PPar, 5, _PSALT, _PINTERN),
+    for base, cls, tag, table in (
+        (RhoTerm, Par, 4, _INTERN),
+        (PiTerm, PPar, 5, _PINTERN),
     ):
         nodes = [n for n in _reachable([s for s in states if isinstance(s, base)], base) if type(n) is cls]
         assert nodes
         for n in nodes:
             assert n.key == (tag, *(c.key for c in n.children))
-            assert n._hash == hash((salt[cls], *(c._hash for c in n.children)))
             assert table[(cls, n.children)] is n
+
+
+def test_rebuilt_trees_are_the_same_object_and_hash_by_identity():
+    def build():
+        body = par(lift(xn, nil()), drop(yn))
+        return [
+            (body, Par, {"children"}),
+            (quote(body), Quote, {"body"}),
+            (ppar(pout("idprobe", "a"), pout("idprobe", pimarker(0))), PPar, {"children"}),
+            (pimarker(900_002), PiMarker, {"index"}),
+        ]
+
+    before = [node for node, _, _ in build()]
+    members = set(before)
+    position = {node: i for i, node in enumerate(before)}
+    for k in range(200):  # intern unrelated nodes in between
+        name = quote(drop(marker(k)))
+        canon_proc(par(lift(name, nil()), drop(gen_fresh([xn, name]))))
+        ppar(pout("idprobe", f"c{k}"), pout("idprobe", pimarker(k)))
+    for i, (node, cls, fields) in enumerate(build()):
+        assert type(node) is cls
+        assert node is before[i]
+        assert node in members and position[node] == i
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+        assert not hasattr(node, "__dict__")
+        slots = {slot for c in cls.__mro__ for slot in getattr(c, "__slots__", ())}
+        assert slots == {"key", *fields}
 
 
 def test_par_gives_one_node_on_a_miss_and_on_a_hit():
