@@ -483,6 +483,13 @@ def _error(args, message: str, code: int) -> int:
     return code
 
 
+def _verdict_line(verdict: str, reason: Optional[str]) -> str:
+    """A verdict; an Unknown also names the budget it hit and its flag."""
+    if verdict == "unknown" and reason:
+        verdict += f" ({reason} reached; raise --{reason.replace('_', '-')})"
+    return verdict
+
+
 def _report_out(args, rep: Report) -> int:
     if getattr(args, "json", False):
         print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -635,9 +642,10 @@ def _cmd_bisim(args) -> int:
         "weak": rep.weak,
         "states": list(rep.states),
         "truncated": rep.truncated,
+        "truncated_reason": rep.truncated_reason,
         "witness": _render_witness(rep.witness, calc_a),
     }
-    lines = [rep.verdict.value]
+    lines = [_verdict_line(rep.verdict.value, rep.truncated_reason)]
     if rep.witness:
         lines.append(f"witness: {payload['witness']}")
     _emit(args, payload, lines)
@@ -667,9 +675,10 @@ def _cmd_diverge(args) -> int:
     else:
         probe, term = divergence_probe, parse_rho(text)
     rep = probe(term, max_states=args.max_states, max_depth=args.max_depth)
-    payload = {"verdict": rep.verdict.value, "rule": rep.rule, "states": rep.states}
-    lines = [rep.verdict.value + (f" ({rep.rule})" if rep.rule else "")]
-    _emit(args, payload, lines)
+    payload = {k: getattr(rep, k) for k in ("rule", "states", "truncated", "truncated_reason")}
+    payload["verdict"] = rep.verdict.value
+    line = _verdict_line(rep.verdict.value, rep.truncated_reason)
+    _emit(args, payload, [line + (f" ({rep.rule})" if rep.rule else "")])
     return 0
 
 
@@ -687,9 +696,6 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    for flag, value in (("--count", args.count), ("--size", args.size)):
-        if value < 1:
-            return _error(args, f"{flag} must be at least 1, got {value}", 2)
     rep = check_criteria(seed=args.seed, count=args.count, size=args.size)
     return _report_out(args, rep)
 
@@ -697,6 +703,10 @@ def _cmd_criteria(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+# the least value of each budget and size option, on every command that has it
+_LEAST = {"--max-states": 1, "--max-depth": 0, "--steps": 0, "--count": 1, "--size": 1}
 
 
 def _add_bounds(sp, states_default=DEFAULT_MAX_STATES, depth_default=DEFAULT_MAX_DEPTH):
@@ -795,6 +805,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag, least in _LEAST.items():
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least:
+            return _error(args, f"{flag} must be at least {least}, got {value}", 2)
     try:
         return args.fn(args)
     except (ParseError, FileNotFoundError) as exc:

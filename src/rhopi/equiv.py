@@ -178,6 +178,7 @@ class BisimReport:
     truncated: bool
     witness: Optional[dict] = None
     blocks: Optional[int] = None
+    truncated_reason: Optional[str] = None  # the budget a truncated graph hit
 
 
 def barbed_bisim(
@@ -208,9 +209,9 @@ def barbed_bisim(
                 witness = {"reason": "barb", "only": ("right", sorted(obs2 - obs1, key=repr))}
             elif not g2.truncated and obs1 - obs2:
                 witness = {"reason": "barb", "only": ("left", sorted(obs1 - obs2, key=repr))}
-        if witness:
-            return BisimReport(BisimVerdict.NOT_BISIMILAR, weak, states, True, witness)
-        return BisimReport(BisimVerdict.UNKNOWN, weak, states, True)
+        verdict = BisimVerdict.NOT_BISIMILAR if witness else BisimVerdict.UNKNOWN
+        cut = g1.truncated_reason or g2.truncated_reason
+        return BisimReport(verdict, weak, states, True, witness, truncated_reason=cut)
 
     all_states, edges, (_, n1) = _union([g1, g2])
     block_of, succ_rel, barb_sig = _refine(all_states, edges, barb_fn, weak)
@@ -423,6 +424,7 @@ class DivergenceReport:
     evidence: dict = field(default_factory=dict)
     states: int = 0
     truncated: bool = False
+    truncated_reason: Optional[str] = None  # the budget a truncated graph hit
 
 
 _ANCESTOR_SCAN_LIMIT = 64  # ancestors inspected per state by the heuristics
@@ -442,10 +444,11 @@ def graph_divergence(g: Lts) -> DivergenceReport:
             {"cycle_states": cyc, "example": g.states[cyc[0]]},
             n,
             g.truncated,
+            g.truncated_reason,
         )
     if not g.truncated:
         return DivergenceReport(DivergenceVerdict.TERMINATES, None, {}, n, False)
-    return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True)
+    return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True, g.truncated_reason)
 
 
 def divergence_probe(
@@ -490,6 +493,7 @@ def rho_graph_divergence(g: Lts) -> DivergenceReport:
                     {"ancestor": g.states[j], "state": g.states[i]},
                     n,
                     True,
+                    g.truncated_reason,
                 )
             if budget[0] > 0 and replays(j, i):
                 # confirm with a second hit further up the same chain
@@ -507,6 +511,7 @@ def rho_graph_divergence(g: Lts) -> DivergenceReport:
                             },
                             n,
                             True,
+                            g.truncated_reason,
                         )
                     k = g.parents[k]
                     khops += 1

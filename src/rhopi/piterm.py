@@ -35,6 +35,11 @@ the continuation and merges the result into the untouched children.  Every
 child names its binders from the same reserved atoms, so two children meet
 only on a free subject.
 
+That rebuilt part depends only on the interned input and output children
+and the origins of the two items in them, never on the untouched children,
+so it is memoised per redex, as the reflective side memoises continuations.
+A state's outputs are indexed by subject, so an input meets only those.
+
 Like the reflective-term module, nodes are interned so canonical-form
 equality is object identity.
 """
@@ -465,9 +470,13 @@ def rename_atom(t: PiTerm, new: str, old: str) -> PiTerm:
 # (canonical top-level child, naming tag) -> its hoisted named decomposition
 _GROUPS: dict = {}
 
+# (input's child, input origin, output's child or None, output origin) ->
+# the canonical children its touched children turn into
+_REDEX: dict = {}
+
 #: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
 #: the intern table is not one (``rhopi.clear_caches`` says why)
-DERIVED_CACHES = {"pi_canon": _PI_CANON, "groups": _GROUPS}
+DERIVED_CACHES = {"pi_canon": _PI_CANON, "groups": _GROUPS, "redex": _REDEX}
 
 
 def _group(child: PiTerm, tag: str) -> tuple:
@@ -507,46 +516,63 @@ def pi_step(t: PiTerm) -> list:
     computation; an unfolded copy materializes in the successor only when the
     step consumed part of it (reductions needing two copies of the same
     replica take two steps).
+
+    Inputs meet only the outputs on their subject, from an index kept in
+    soup order.  What a redex turns its touched children into is memoised
+    per ``(input child, input origin, output child or None, output
+    origin)``; a successor is the untouched children plus that part, merged
+    by key.
     """
     c = pi_canon(t)
     children = c.children if isinstance(c, PPar) else () if isinstance(c, PNil) else (c,)
     groups = [_group(child, "s") for child in children]
     # every child names its binders from ~s0, so equal reserved atoms in two
     # children are two different names: only a free subject links children
-    soup = [(g, o, item) for g, group in enumerate(groups) for o, item in group[3]]
+    outputs: dict = {}
+    for g, group in enumerate(groups):
+        for o, item in group[3]:
+            if isinstance(item, POut):
+                outputs.setdefault(item.subject, []).append((g, o))
 
     successors: list = []
     seen = set()
-    for gi, oi, ini in soup:
-        if not isinstance(ini, PIn):
-            continue
-        for gj, oj, outj in soup:
-            if not isinstance(outj, POut) or ini.subject != outj.subject:
+    for gi, group in enumerate(groups):
+        for oi, ini in group[3]:
+            if not isinstance(ini, PIn):
                 continue
-            if gi == gj:
-                touched = [(gi, groups[gi], {oi, oj})]
-            elif ini.subject.startswith(_RESERVED_PREFIX):
-                continue
-            else:
-                # the sender's child is renamed apart so that an extruded
-                # binder cannot meet a binder of the receiver's child
-                other = _group(children[gj], "t")
-                outj = _soup_item(other, oj)
-                touched = sorted([(gi, groups[gi], {oi}), (gj, other, {oj})])
-            succ = _reduct(children, touched, rename_atom(ini.body, outj.obj, ini.binder))
-            if succ not in seen:
-                seen.add(succ)
-                successors.append(succ)
+            for gj, oj in outputs.get(ini.subject, ()):
+                if gi != gj and ini.subject.startswith(_RESERVED_PREFIX):
+                    continue
+                key = (children[gi], oi, None if gi == gj else children[gj], oj)
+                part = _REDEX.get(key)
+                if part is None:
+                    part = _REDEX[key] = _reduct(children, groups, gi, oi, gj, oj)
+                kids = [child for g, child in enumerate(children) if g != gi and g != gj]
+                succ = ppar(*sorted((*kids, *part), key=_BY_KEY))
+                if succ not in seen:
+                    _PI_CANON[succ] = succ
+                    seen.add(succ)
+                    successors.append(succ)
     return successors
 
 
-def _reduct(children: tuple, touched: list, continuation: PiTerm) -> PiTerm:
-    """The canonical state after a redex: the touched children, less the
-    consumed items and plus the continuation and the rest of every unfolded
-    instance, are canonicalized together and merged by key into the
-    untouched children, which are canonical on their own."""
+def _reduct(children: tuple, groups: list, gi: int, oi, gj: int, oj) -> tuple:
+    """The canonical children that the communication of input ``oi`` of
+    child ``gi`` with output ``oj`` of child ``gj`` turns its touched
+    children into: they are canonicalized together, less the consumed items
+    and plus the continuation and the rest of every unfolded instance."""
+    ini = _soup_item(groups[gi], oi)
+    if gi == gj:
+        outj = _soup_item(groups[gi], oj)
+        touched = [(gi, groups[gi], {oi, oj})]
+    else:
+        # the sender's child is renamed apart so that an extruded binder
+        # cannot meet a binder of the receiver's child
+        other = _group(children[gj], "t")
+        outj = _soup_item(other, oj)
+        touched = sorted([(gi, groups[gi], {oi}), (gj, other, {oj})])
     binders: list = []
-    kept: list = [continuation]
+    kept: list = [rename_atom(ini.body, outj.obj, ini.binder)]
     for _, (g_binders, items, _, _), consumed in touched:
         binders.extend(g_binders)
         kept.extend(item for idx, item in enumerate(items) if idx not in consumed)
@@ -559,16 +585,7 @@ def _reduct(children: tuple, touched: list, continuation: PiTerm) -> PiTerm:
     for b in reversed(binders):
         body = pnew(b, body)
     part = pi_canon(body)
-    gone = {g for g, _, _ in touched}
-    kids = [child for g, child in enumerate(children) if g not in gone]
-    if isinstance(part, PPar):
-        kids.extend(part.children)
-    elif not isinstance(part, PNil):
-        kids.append(part)
-    kids.sort(key=_BY_KEY)
-    out = ppar(*kids)
-    _PI_CANON[out] = out
-    return out
+    return part.children if isinstance(part, PPar) else () if isinstance(part, PNil) else (part,)
 
 
 def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:

@@ -225,6 +225,53 @@ def test_diverge_name_passing(capsys):
     assert json.loads(out)["rule"] == "cycle"
 
 
+_COPIER = "!(a!b | a?(x).c!x)"
+
+
+def test_bisim_unknown_names_the_budget_it_hit(capsys):
+    relayed = "!(a!b | a?(x).new z.(z!x | z?(y).c!y))"
+    argv = ("bisim", "--calculus", "pi", "--weak", _COPIER, relayed, "--max-states", "4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "unknown (max_states reached; raise --max-states)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["truncated"]) == ("unknown", True)
+    assert payload["truncated_reason"] == "max_states"
+
+
+def test_diverge_unknown_names_the_budget_it_hit(capsys):
+    argv = ("diverge", "--calculus", "pi", "--max-states", "4", _COPIER)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "unknown (max_states reached; raise --max-states)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["truncated"]) == ("unknown", True)
+    assert payload["truncated_reason"] == "max_states"
+    code, out, _ = run(capsys, "diverge", "--calculus", "pi", "x!a | x?(y).0", "--json")
+    payload = json.loads(out)
+    assert (payload["truncated"], payload["truncated_reason"]) == (False, None)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, least",
+    [
+        (("bisim", "0", "0"), "--max-states", "0", 1),
+        (("bisim", "0", "0"), "--max-depth", "-1", 0),
+        (("diverge", "0"), "--max-states", "0", 1),
+        (("diverge", "0"), "--max-depth", "-1", 0),
+        (("trace", "0"), "--max-depth", "-1", 0),
+        (("reduce", "0"), "--steps", "-1", 0),
+    ],
+)
+def test_negative_budgets_are_refused(capsys, argv, flag, value, least):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
 # ---------------------------------------------------------------------------
 # Packaged experiments
 # ---------------------------------------------------------------------------

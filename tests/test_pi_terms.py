@@ -292,9 +292,13 @@ def test_step_matches_whole_state_reduction_on_handshakes():
 HAND_BUILT_PI = {
     "equal bound subjects in two groups": "new x.(x!a) | new x.(x?(y).0)",
     "two copies of one group": "new x.(x!a | x?(y).y!b) | new x.(x!a | x?(y).y!b)",
+    # a free subject: one copy's input meets its own output and the other's
+    "two copies of one group on a free subject": "new z.(a!z | a?(x).x!z) | new z.(a!z | a?(x).x!z)",
     "scope extrusion": "new x.(c!x | x?(y).0) | c?(v).v!v",
     "replica joined with another group": "new x.(!x?(y).c!y | x!a) | c?(v).v!v | new x.(x!b)",
     "replicated restriction extruded": "!new x.(c!x) | c?(v).(v!v | v?(w).0)",
+    "two inputs of one replica meet one output": "!(a?(x).x!c | a?(y).0) | a!b",
+    "one input meets two outputs of one replica": "a?(x).x!x | !(a!b | a!c)",
     # both groups call their binder ~s0 when named on their own
     "extruded name meets a private name": "new x.(c!x | x?(y).y!y) | new r.(c?(v).v!r | r?(w).0)",
 }
@@ -303,6 +307,18 @@ HAND_BUILT_PI = {
 @pytest.mark.parametrize("label", sorted(HAND_BUILT_PI))
 def test_step_matches_whole_state_reduction_on_hand_built_cases(label):
     states = reachable(parse_pi(HAND_BUILT_PI[label]))
+    assert_steps_match_reference(states)
+
+
+def test_redex_memo_reused_across_states_matches_reference():
+    # on a free subject, two equal copies fire a redex inside one copy and
+    # one between the copies, with the same origins: their keys must differ
+    rhopi.clear_caches()
+    families = [handshake(relayed=r) for r in (None, 0, 1, 2, 3)]
+    copies = [parse_pi(HAND_BUILT_PI[k]) for k in HAND_BUILT_PI if k.startswith("two copies")]
+    states = reachable(*families, *copies)
+    fired = sum(len(pi_step(s)) for s in states)  # each successor fired a redex
+    assert 0 < rhopi.cache_stats()["piterm.redex"] < fired
     assert_steps_match_reference(states)
 
 
