@@ -13,13 +13,17 @@ redexes are pairs of top-level parallel components with identical canonical
 subjects.
 
 The continuation P{@Q / y} depends only on the interned pair of input and
-lift nodes, never on the rest of the state, so it is computed once per pair
-and memoised.  A successor is then built by inserting that canonical
-continuation's components into a copy of the already-sorted canonical rest
-of the state (``canon_par_into``), never by canonicalizing the whole state
-again.  Canonical order puts equal components next to each other, so a
-redex whose input or lift is the same node as its left neighbour repeats an
-earlier (input, lift) pair and is skipped.
+lift nodes, never on the rest of the state, so its canonical components are
+computed once per pair and memoised.  A successor is then the rest of the
+state plus those components, sorted and interned as a canonical Par; it is
+never canonicalized again.  The sort compares ranks, not keys: every
+component a successor is built from gets a float rank, strictly increasing
+with its key, the first time it is seen, so ordering by rank is canonical
+order without comparing nested key tuples.  Unlike a pure memo table, the
+rank table is rewritten in place, so reduction must not run in several
+threads at once.  Canonical order puts equal components next to each
+other, so a redex whose input or lift is the same node as its left
+neighbour repeats an earlier (input, lift) pair and is skipped.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
@@ -28,6 +32,8 @@ its subject, in both cases up to name equivalence.
 
 from __future__ import annotations
 
+import bisect
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .rhoterm import (
@@ -38,8 +44,8 @@ from .rhoterm import (
     RhoName,
     RhoProc,
     canon_name,
-    canon_par_into,
     canon_proc,
+    canon_sorted_par,
     quote,
     subst_marker,
 )
@@ -61,7 +67,11 @@ IN = "in"
 
 def components(p: RhoProc) -> tuple:
     """Top-level parallel components of the canonical form of p."""
-    cp = canon_proc(p)
+    return _parts(canon_proc(p))
+
+
+def _parts(cp: RhoProc) -> tuple:
+    """Top-level parallel components of the canonical process cp."""
     if isinstance(cp, Par):
         return cp.children
     if isinstance(cp, Nil):
@@ -79,30 +89,69 @@ class Redex(NamedTuple):
     subject: RhoName
 
 
+def _pairs(comps: tuple):
+    """(i, j) for every input comps[i] and lift comps[j] on the same
+    canonical subject, in (input position, lift position) order."""
+    ins = []
+    lifts: dict = {}
+    for k, c in enumerate(comps):
+        if isinstance(c, Input):
+            ins.append(k)
+        elif isinstance(c, Lift):
+            lifts.setdefault(c.subject, []).append(k)
+    for i in ins:
+        # canonical names: identity is equivalence
+        for j in lifts.get(comps[i].subject, ()):
+            yield i, j
+
+
 def redexes(p: RhoProc) -> list:
     """All communication redexes of p, in (input position, lift position)
     order over the canonical component list."""
     comps = components(p)
-    ins = [(i, c) for i, c in enumerate(comps) if isinstance(c, Input)]
-    outs = [(j, c) for j, c in enumerate(comps) if isinstance(c, Lift)]
-    found = []
-    for i, inode in ins:
-        for j, onode in outs:
-            if inode.subject is onode.subject:  # canonical names: identity is equivalence
-                found.append(Redex(i, j, inode.subject))
-    return found
+    return [Redex(i, j, comps[i].subject) for i, j in _pairs(comps)]
 
 
-# (input node, lift node) -> canonical continuation of their communication
+# every component a successor is sorted from, in key order, and its rank: a
+# float strictly increasing with the key
+_ORDER: list = []
+_RANK: dict = {}
+_BY_KEY = attrgetter("key")
+
+# (input node, lift node) -> canonical components of their continuation
 _CONTINUATION: dict = {}
 
-#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them
-DERIVED_CACHES = {"continuation": _CONTINUATION}
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
+#: ``rhopi.clear_caches`` empties the rank table's two halves together
+DERIVED_CACHES = {"continuation": _CONTINUATION, "rank": _RANK, "rank_order": _ORDER}
+
+
+def _place(c: RhoProc) -> None:
+    """Rank c at the midpoint of its neighbours' ranks in key order (one
+    above the last, or half the first); renumber every rank once a gap is
+    spent."""
+    at = bisect.bisect_left(_ORDER, c.key, key=_BY_KEY)
+    lo = _RANK[_ORDER[at - 1]] if at else 0.0
+    hi = _RANK[_ORDER[at]] if at < len(_ORDER) else lo + 2.0
+    rank = (lo + hi) / 2
+    _ORDER.insert(at, c)
+    if lo < rank < hi:
+        _RANK[c] = rank
+    else:
+        _RANK.update((d, float(r)) for r, d in enumerate(_ORDER, 1))
+
+
+def _ranked(comps: tuple) -> tuple:
+    """comps, once every one of them has a rank."""
+    for c in comps:
+        if c not in _RANK:
+            _place(c)
+    return comps
 
 
 def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
-    """The canonical reduct of the state whose canonical components are comps
-    by the communication of input comps[i] with lift comps[j]."""
+    """The canonical reduct of the state whose canonical components are comps,
+    all ranked, by the communication of input comps[i] with lift comps[j]."""
     inode = comps[i]
     onode = comps[j]
     pair = (inode, onode)
@@ -110,15 +159,17 @@ def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
     if continuation is None:
         # the payload quote is passed uncollapsed: name positions take its
         # canonical name, a dropped binder becomes the lifted body as written
-        continuation = subst_marker(inode.body, quote(onode.body), inode.binder.index)
-        _CONTINUATION[pair] = continuation
+        q = subst_marker(inode.body, quote(onode.body), inode.binder.index)
+        continuation = _CONTINUATION[pair] = _ranked(_parts(q))
     lo, hi = (i, j) if i < j else (j, i)
-    return canon_par_into(comps[:lo] + comps[lo + 1 : hi] + comps[hi + 1 :], continuation)
+    kids = comps[:lo] + comps[lo + 1 : hi] + comps[hi + 1 :] + continuation
+    # ranks are strictly monotone in the key: this is canonical order
+    return canon_sorted_par(sorted(kids, key=_RANK.__getitem__))
 
 
 def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
     """The canonical reduct of p by the given redex."""
-    return _reduct(components(p), redex.input_index, redex.lift_index)
+    return _reduct(_ranked(components(p)), redex.input_index, redex.lift_index)
 
 
 def step(p: RhoProc) -> list:
@@ -127,10 +178,10 @@ def step(p: RhoProc) -> list:
     give the same reduct.  Equal components are adjacent in canonical order,
     so the pair is a repeat exactly when the input or the lift is its left
     neighbour."""
-    comps = components(p)
+    comps = _ranked(components(p))
     out: list = []
     seen = set()
-    for i, j, _ in redexes(p):
+    for i, j in _pairs(comps):
         if (i and comps[i - 1] is comps[i]) or (j and comps[j - 1] is comps[j]):
             continue
         q = _reduct(comps, i, j)

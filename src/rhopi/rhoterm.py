@@ -44,9 +44,7 @@ process in place of a matching drop, which is what communication uses.
 
 from __future__ import annotations
 
-import bisect
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -71,7 +69,7 @@ __all__ = [
     "marker",
     "canon_proc",
     "canon_name",
-    "canon_par_into",
+    "canon_sorted_par",
     "struct_eq",
     "name_eq",
     "free_names",
@@ -332,23 +330,11 @@ def _canon(p: RhoProc, env: tuple) -> RhoProc:
     return out
 
 
-_BY_KEY = attrgetter("key")
-
-
-def canon_par_into(rest: Sequence[RhoProc], q: RhoProc) -> RhoProc:
-    """Canonical form of ``par(*rest, q)`` when rest is a key-sorted sequence
-    of canonical top-level components (no 0, no Par) and q is canonical.
-
-    Only q is placed, into a copy of rest: a 0 is dropped, each child of a
-    Par is inserted at its place by key, and anything else is inserted
-    itself.  Keys are injective on interned nodes, so the result is the very
-    node ``canon_proc`` would build."""
-    kids = list(rest)
-    if isinstance(q, Par):
-        for child in q.children:
-            bisect.insort(kids, child, key=_BY_KEY)
-    elif not isinstance(q, Nil):
-        bisect.insort(kids, q, key=_BY_KEY)
+def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
+    """Canonical form of ``par(*kids)`` when kids is a key-sorted sequence of
+    canonical top-level components (no 0, no Par): 0 for none, the child
+    itself for one, else their interned Par, recorded as its own canonical
+    form."""
     if not kids:
         return _NIL_NODE
     if len(kids) == 1:

@@ -119,6 +119,7 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     stats = rhopi.cache_stats()
     assert stats["rhoterm.canon_proc"] > 0
     assert stats["rhoreduce.continuation"] > 0
+    assert stats["rhoreduce.rank"] == stats["rhoreduce.rank_order"] > 0
     assert stats["piterm.pi_canon"] > 0
     assert stats["piterm.groups"] > 0
     assert stats["piterm.redex"] > 0
@@ -128,6 +129,7 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     rhopi.clear_caches()
     assert set(rhopi.cache_stats().values()) == {0}
     assert rhopi.cache_stats()["piterm.redex"] == 0
+    assert rhopi.cache_stats()["rhoreduce.rank"] == 0
     cold = [_verdicts_and_evidence(repro_cex1())]
     rhopi.clear_caches()
     cold.append(_verdicts_and_evidence(repro_cex2()))

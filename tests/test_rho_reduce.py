@@ -9,6 +9,9 @@ import rhopi
 from rhopi import equiv, harness
 from rhopi.lts import explore
 from rhopi.rhoreduce import (
+    _ORDER,
+    _RANK,
+    _ranked,
     apply_redex,
     barbs,
     components,
@@ -24,6 +27,7 @@ from rhopi.rhoterm import (
     gen_fresh,
     inp,
     lift,
+    marker,
     nil,
     par,
     quote,
@@ -291,3 +295,41 @@ def test_step_matches_reference_on_a_sample_of_cex2_states(monkeypatch):
     assert max(len(q.children) for q in continuations if isinstance(q, Par)) >= 5
     for p in sample:
         assert_step_matches_reference(p)
+
+
+# ---------------------------------------------------------------------------
+# Successors are sorted by a rank kept per component
+# ---------------------------------------------------------------------------
+
+
+def assert_rank_table_in_key_order():
+    assert len(_RANK) == len(_ORDER)
+    assert all(a.key < b.key for a, b in zip(_ORDER, _ORDER[1:]))
+    assert all(_RANK[a] < _RANK[b] for a, b in zip(_ORDER, _ORDER[1:]))
+
+
+def test_rank_table_is_in_key_order_after_the_repro_experiments():
+    rhopi.clear_caches()
+    harness.repro_cex1()
+    harness.repro_cex2()
+    assert len(_ORDER) > 100
+    assert_rank_table_in_key_order()
+
+
+def test_a_spent_rank_gap_renumbers_in_key_order():
+    rhopi.clear_caches()
+    top = drop(marker(10**6))
+    _ranked((top,))
+    first = _RANK[top]
+    # each lands just below top, above the one before: the gap under top
+    # halves each time until no float fits in it
+    below = tuple(drop(marker(k)) for k in range(1, 101))
+    for d in below:
+        _ranked((d,))
+    assert _RANK[top] != first  # only a renumbering moves a rank
+    assert_rank_table_in_key_order()
+    # the continuation, the payload *m150 spliced in for *b, lands in the
+    # same gap
+    p = canon_proc(par(*below, top, inp(xn, b, drop(b)), lift(xn, drop(marker(150)))))
+    assert len(step(p)) == 1
+    assert_step_matches_reference(p)

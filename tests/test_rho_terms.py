@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from rhopi import equiv, harness
 from rhopi.piterm import _PINTERN, PiMarker, PiTerm, PPar, pimarker, pout, ppar
+from rhopi.rhoreduce import components
 from rhopi.rhoterm import (
     _INTERN,
     NULL_NAME,
@@ -20,8 +21,8 @@ from rhopi.rhoterm import (
     Quote,
     RhoTerm,
     canon_name,
-    canon_par_into,
     canon_proc,
+    canon_sorted_par,
     drop,
     free_names,
     gen_fresh,
@@ -363,13 +364,11 @@ def test_congruent_variants_share_a_canonical_form(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
-def test_parallel_insert_matches_full_canonicalization(seed):
+def test_sorted_parallel_matches_full_canonicalization(seed):
     rng = random.Random(seed)
     p = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
     q = canon_proc(oracles.to_pkg_proc(oracles.random_proc(rng, rng.randrange(1, 9))))
-    rest = p.children if isinstance(p, Par) else () if p is nil() else (p,)
-    kept = list(rest)
-    merged = canon_par_into(kept, q)
-    assert kept == list(rest)  # q is placed into a copy
+    kids = sorted(components(p) + components(q), key=lambda t: t.key)
+    merged = canon_sorted_par(kids)
     assert merged is canon_proc(par(p, q))
     assert canon_proc(merged) is merged
