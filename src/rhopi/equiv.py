@@ -132,9 +132,10 @@ def _sccs(n: int, edges: list) -> tuple:
     return comp_of, comps
 
 
-def _reach_sets(n: int, edges: list) -> list:
-    """Reflexive-transitive reachability per state, shared across SCCs."""
-    comp_of, comps = _sccs(n, edges)
+def _reach_sets(n: int, edges: list, sccs: Optional[tuple] = None) -> list:
+    """Reflexive-transitive reachability per state, shared across SCCs;
+    sccs, when given, is ``_sccs(n, edges)`` computed by the caller."""
+    comp_of, comps = sccs or _sccs(n, edges)
     comp_reach: list = []
     for ci, members in enumerate(comps):
         r = set(members)
@@ -252,8 +253,9 @@ def _refine(states: list, edges: list, barb_fn: Callable, weak: bool) -> tuple:
     relation used, the barb signature used)."""
     n = len(states)
     if weak:
-        succ_rel = _reach_sets(n, edges)
-        barb_sig = weak_observations(states, edges, barb_fn)
+        sccs = _sccs(n, edges)
+        succ_rel = _reach_sets(n, edges, sccs)
+        barb_sig = _observe(states, edges, barb_fn, sccs)
     else:
         succ_rel = [set(row) for row in edges]
         barb_sig = [barb_fn(st) for st in states]
@@ -363,7 +365,12 @@ def pi_barbed_bisim(
 def weak_observations(states: list, edges: list, barb_fn: Callable) -> list:
     """Per state of a graph (states and successor lists, as in ``Lts``), the
     union of barb_fn over every state it reaches, itself included."""
-    comp_of, comps = _sccs(len(states), edges)
+    return _observe(states, edges, barb_fn, _sccs(len(states), edges))
+
+
+def _observe(states: list, edges: list, barb_fn: Callable, sccs: tuple) -> list:
+    """``weak_observations`` over the graph's SCCs, ``(comp_of, comps)``."""
+    comp_of, comps = sccs
     comp_obs: list = []
     for ci, members in enumerate(comps):
         acc: frozenset = frozenset()

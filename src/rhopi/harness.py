@@ -755,11 +755,6 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
     subjects = b["subjects"]
     phi = b["phi"]
 
-    rho_ws = weak_observations(g_rho.states, g_rho.edges, lambda s: rho_barbs(s, subjects))
-    pi_ws = weak_observations(
-        g_pi.states, g_pi.edges, lambda s: _map_pi_barbs(pi_barbs(s, b["fn"]), phi)
-    )
-
     verdicts = []
     evidence = {}
 
@@ -803,6 +798,10 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
         evidence["soundness"] = "exploration truncated"
         evidence["soundness_budget"] = g_rho.truncated_reason or "pi_" + g_pi.truncated_reason
     else:
+        rho_ws = weak_observations(g_rho.states, g_rho.edges, lambda s: rho_barbs(s, subjects))
+        pi_ws = weak_observations(
+            g_pi.states, g_pi.edges, lambda s: _map_pi_barbs(pi_barbs(s, b["fn"]), phi)
+        )
         pi_set_pool = set(pi_ws)
         bad = [i for i in range(len(g_rho.states)) if rho_ws[i] not in pi_set_pool]
         if bad:

@@ -38,7 +38,16 @@ only on a free subject.
 That rebuilt part depends only on the interned input and output children
 and the origins of the two items in them, never on the untouched children,
 so it is memoised per redex, as the reflective side memoises continuations.
-A state's outputs are indexed by subject, so an input meets only those.
+Each child's memoised decomposition also lists its inputs and outputs with
+their subjects; a step indexes the outputs of its children by subject from
+these tables, so an input meets only the outputs on its subject.  Equal
+children are adjacent in key order, so a redex that only repeats an earlier
+one on an equal copy (its input in a later copy, or its output in a later
+copy that is not the input's right neighbour) is skipped, as the reflective
+side skips a repeated (input, lift) pair.
+
+Barbs are memoised per child too: a bound subject is a marker, never an
+atom, so a child's barbs do not depend on its siblings.
 
 Like the reflective-term module, nodes are interned so canonical-form
 equality is object identity.
@@ -46,6 +55,7 @@ equality is object identity.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import permutations
 from operator import attrgetter
 from typing import Iterable, Optional, Union
@@ -474,28 +484,52 @@ _GROUPS: dict = {}
 # the canonical children its touched children turn into
 _REDEX: dict = {}
 
+# canonical top-level child -> its barbs on free atoms
+_BARBS: dict = {}
+
 #: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
 #: the intern table is not one (``rhopi.clear_caches`` says why)
-DERIVED_CACHES = {"pi_canon": _PI_CANON, "groups": _GROUPS, "redex": _REDEX}
+DERIVED_CACHES = {
+    "pi_canon": _PI_CANON,
+    "groups": _GROUPS,
+    "redex": _REDEX,
+    "barbs": _BARBS,
+}
+
+
+def _children(c: PiTerm) -> tuple:
+    """The top-level parallel children of a canonical term."""
+    return c.children if isinstance(c, PPar) else () if isinstance(c, PNil) else (c,)
 
 
 def _group(child: PiTerm, tag: str) -> tuple:
     """The hoisted named decomposition of one canonical top-level child,
-    memoised: (binders, items, instances, soup).  ``instances`` maps the
-    index of each replicated item to the (binders, items) of one unfolded
-    copy; ``soup`` lists every (origin, item) a redex can use, an item's
-    origin being its index and an instance item's ``(replica index, k)``."""
+    memoised: (binders, items, instances, inputs, outputs).  ``instances``
+    maps the index of each replicated item to the (binders, items) of one
+    unfolded copy.  Every item a redex can use has an origin: its index, or
+    ``(replica index, k)`` for an instance item.  ``inputs`` lists
+    (origin, subject) for each input and ``outputs`` (subject, origin) for
+    each output, items before the instance items of their replica."""
     entry = _GROUPS.get((child, tag))
     if entry is None:
         binders, items = _hoist(named(child, tag))
         instances: dict = {}
-        soup: list = []
+        inputs: list = []
+        outputs: list = []
+
+        def table(origin, item: PiTerm) -> None:
+            if isinstance(item, PIn):
+                inputs.append((origin, item.subject))
+            elif isinstance(item, POut):
+                outputs.append((item.subject, origin))
+
         for idx, item in enumerate(items):
-            soup.append((idx, item))
+            table(idx, item)
             if isinstance(item, PRepl):
                 instances[idx] = _hoist(item.body)
-                soup.extend(((idx, k), sub) for k, sub in enumerate(instances[idx][1]))
-        entry = (binders, items, instances, soup)
+                for k, sub in enumerate(instances[idx][1]):
+                    table((idx, k), sub)
+        entry = (binders, items, instances, inputs, outputs)
         _GROUPS[(child, tag)] = entry
     return entry
 
@@ -517,38 +551,70 @@ def pi_step(t: PiTerm) -> list:
     step consumed part of it (reductions needing two copies of the same
     replica take two steps).
 
-    Inputs meet only the outputs on their subject, from an index kept in
-    soup order.  What a redex turns its touched children into is memoised
-    per ``(input child, input origin, output child or None, output
+    Each child's inputs and outputs come from its memoised group table; an
+    input meets only the outputs on its subject, from an index kept in child
+    then item order.  Equal children are adjacent in key order, and a redex
+    whose input is in a later equal copy, or whose output is in a later
+    equal copy that is not the right neighbour of the input's child, gives
+    the successor of an earlier redex: it is skipped, and the list and its
+    order stay the same.  What a redex turns its touched children into is
+    memoised per ``(input child, input origin, output child or None, output
     origin)``; a successor is the untouched children plus that part, merged
     by key.
     """
-    c = pi_canon(t)
-    children = c.children if isinstance(c, PPar) else () if isinstance(c, PNil) else (c,)
+    children = _children(pi_canon(t))
     groups = [_group(child, "s") for child in children]
     # every child names its binders from ~s0, so equal reserved atoms in two
     # children are two different names: only a free subject links children
     outputs: dict = {}
     for g, group in enumerate(groups):
-        for o, item in group[3]:
-            if isinstance(item, POut):
-                outputs.setdefault(item.subject, []).append((g, o))
+        repeat = g > 0 and children[g - 1] is children[g]
+        for subject, o in group[4]:
+            outputs.setdefault(subject, []).append((g, o, repeat))
 
+    # Repeated redexes.  Equal children are adjacent in key order and share
+    # one group, so the same origins name the same items in each.  A
+    # successor depends only on the redex key and on the untouched children,
+    # and neither changes when a touched child is exchanged for an equal
+    # one.  Iteration runs over gi, the input, gj, then the output; a redex
+    # is skipped when an equal copy gives an earlier redex with the same
+    # successor:
+    # - any redex whose input is in child gi equal to child gi - 1: the same
+    #   input in gi - 1, with the output moved from gi to gi - 1 (an inner
+    #   redex stays inner), from gi - 1 to gi, or left in any other child,
+    #   has the same key and untouched children, and gi - 1 comes first;
+    # - a redex between two children whose output is in child gj equal to
+    #   child gj - 1, when gj - 1 is not gi: the same input with the same
+    #   output in gj - 1 has the same key and untouched children, and comes
+    #   earlier in the subject's output list.  When gj - 1 is gi, moving the
+    #   output would make the redex inner to gi, a different key, so it is
+    #   kept.
+    # By induction on iteration order every skipped successor equals that
+    # of an earlier redex that was not skipped, so it is already listed:
+    # the successors and their order are those without the skip.
     successors: list = []
     seen = set()
     for gi, group in enumerate(groups):
-        for oi, ini in group[3]:
-            if not isinstance(ini, PIn):
-                continue
-            for gj, oj in outputs.get(ini.subject, ()):
-                if gi != gj and ini.subject.startswith(_RESERVED_PREFIX):
+        if gi and children[gi - 1] is children[gi]:
+            continue
+        for oi, subject in group[3]:
+            bound = subject.startswith(_RESERVED_PREFIX)
+            for gj, oj, repeat in outputs.get(subject, ()):
+                if gi != gj and (bound or (repeat and gj - 1 != gi)):
                     continue
                 key = (children[gi], oi, None if gi == gj else children[gj], oj)
                 part = _REDEX.get(key)
                 if part is None:
                     part = _REDEX[key] = _reduct(children, groups, gi, oi, gj, oj)
-                kids = [child for g, child in enumerate(children) if g != gi and g != gj]
-                succ = ppar(*sorted((*kids, *part), key=_BY_KEY))
+                # the untouched children stay in key order; the part's
+                # children go in by binary insertion
+                kids = list(children)
+                del kids[max(gi, gj)]
+                if gi != gj:
+                    del kids[min(gi, gj)]
+                for x in part:
+                    insort(kids, x, key=_BY_KEY)
+                succ = ppar(*kids)
                 if succ not in seen:
                     _PI_CANON[succ] = succ
                     seen.add(succ)
@@ -573,10 +639,10 @@ def _reduct(children: tuple, groups: list, gi: int, oi, gj: int, oj) -> tuple:
         touched = sorted([(gi, groups[gi], {oi}), (gj, other, {oj})])
     binders: list = []
     kept: list = [rename_atom(ini.body, outj.obj, ini.binder)]
-    for _, (g_binders, items, _, _), consumed in touched:
+    for _, (g_binders, items, *_), consumed in touched:
         binders.extend(g_binders)
         kept.extend(item for idx, item in enumerate(items) if idx not in consumed)
-    for _, (_, _, instances, _), consumed in touched:
+    for _, (_, _, instances, *_), consumed in touched:
         for idx in sorted({o[0] for o in consumed if isinstance(o, tuple)}):
             i_binders, i_items = instances[idx]
             binders.extend(i_binders)
@@ -584,24 +650,37 @@ def _reduct(children: tuple, groups: list, gi: int, oi, gj: int, oj) -> tuple:
     body = ppar(*kept)
     for b in reversed(binders):
         body = pnew(b, body)
-    part = pi_canon(body)
-    return part.children if isinstance(part, PPar) else () if isinstance(part, PNil) else (part,)
+    return _children(pi_canon(body))
 
 
 def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:
     """Observable commitments: ("out", x) for an unguarded output and
     ("in", x) for an unguarded input on a free (unrestricted) atom x,
-    including under replication and restriction."""
-    allowed = None if restrict is None else set(restrict)
-    c = pi_canon(t)
+    including under replication and restriction.
+
+    In canonical form a bound subject is a marker, never an atom, so a
+    child's barbs do not depend on its siblings: they are memoised per
+    top-level child, and restrict filters their union."""
+    acc = frozenset().union(*map(_child_barbs, _children(pi_canon(t))))
+    if restrict is None:
+        return acc
+    allowed = set(restrict)
+    return frozenset(b for b in acc if b[1] in allowed)
+
+
+def _child_barbs(child: PiTerm) -> frozenset:
+    """The barbs of one canonical child on free atoms, memoised."""
+    found = _BARBS.get(child)
+    if found is not None:
+        return found
     acc: set = set()
 
     def walk(x: PiTerm) -> None:
         if isinstance(x, POut):
-            if isinstance(x.subject, str) and (allowed is None or x.subject in allowed):
+            if isinstance(x.subject, str):
                 acc.add(("out", x.subject))
         elif isinstance(x, PIn):
-            if isinstance(x.subject, str) and (allowed is None or x.subject in allowed):
+            if isinstance(x.subject, str):
                 acc.add(("in", x.subject))
         elif isinstance(x, (PNew, PRepl)):
             walk(x.body)
@@ -609,8 +688,9 @@ def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:
             for ch in x.children:
                 walk(ch)
 
-    walk(c)
-    return frozenset(acc)
+    walk(child)
+    found = _BARBS[child] = frozenset(acc)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -535,3 +535,32 @@ def reference_pi_free_names(t) -> frozenset:
 
     walk(pi_canon(t))
     return frozenset(acc)
+
+
+def reference_pi_barbs(t, restrict=None) -> frozenset:
+    """Barbs of a pi term by one walk of the whole term that tracks the
+    binders in scope: ("out", x) / ("in", x) for an unguarded output /
+    input whose subject x no enclosing restriction or input binds (an input
+    binds only in its body), restricted to the atoms in restrict if given."""
+    from rhopi.piterm import PIn, PNew, PNil, POut, PRepl
+
+    acc = set()
+
+    def walk(x, bound: frozenset) -> None:
+        if isinstance(x, PNil):
+            return
+        if isinstance(x, (POut, PIn)):
+            if x.subject not in bound:
+                acc.add(("out" if isinstance(x, POut) else "in", x.subject))
+        elif isinstance(x, PNew):
+            walk(x.body, bound | {x.binder})
+        elif isinstance(x, PRepl):
+            walk(x.body, bound)
+        else:
+            for ch in x.children:
+                walk(ch, bound)
+
+    walk(t, frozenset())
+    if restrict is not None:
+        acc = {b for b in acc if b[1] in set(restrict)}
+    return frozenset(acc)

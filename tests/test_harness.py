@@ -123,12 +123,14 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     assert stats["piterm.pi_canon"] > 0
     assert stats["piterm.groups"] > 0
     assert stats["piterm.redex"] > 0
+    assert stats["piterm.barbs"] > 0
     assert stats["encode.params"] > 0
     assert stats["encode.name_server"] > 0
 
     rhopi.clear_caches()
     assert set(rhopi.cache_stats().values()) == {0}
     assert rhopi.cache_stats()["piterm.redex"] == 0
+    assert rhopi.cache_stats()["piterm.barbs"] == 0
     assert rhopi.cache_stats()["rhoreduce.rank"] == 0
     cold = [_verdicts_and_evidence(repro_cex1())]
     rhopi.clear_caches()

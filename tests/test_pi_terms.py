@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhopi
-from oracles import reference_pi_free_names, reference_pi_step
+from oracles import reference_pi_barbs, reference_pi_free_names, reference_pi_step
 from rhopi.cli import parse_pi
 from rhopi.harness import make_corpus, random_pi_term
 from rhopi.lts import explore
@@ -301,6 +301,13 @@ HAND_BUILT_PI = {
     "one input meets two outputs of one replica": "a?(x).x!x | !(a!b | a!c)",
     # both groups call their binder ~s0 when named on their own
     "extruded name meets a private name": "new x.(c!x | x?(y).y!y) | new r.(c?(v).v!r | r?(w).0)",
+    # the inputs of the second and third copies repeat the first's redex
+    "three equal inputs meet one output": "a?(x).x!c | a?(x).x!c | a?(x).x!c | a!b",
+    # an input meets its own copy's output, the next copy's (kept) and the
+    # third copy's (a repeat of the next copy's)
+    "three copies of one group on a free subject": " | ".join(["new z.(a!z | a?(x).x!z)"] * 3),
+    # the second replica and the second output each repeat the first's redex
+    "two equal replicas meet two equal outputs": "!a?(x).0 | !a?(x).0 | a!b | a!b",
 }
 
 
@@ -308,6 +315,29 @@ HAND_BUILT_PI = {
 def test_step_matches_whole_state_reduction_on_hand_built_cases(label):
     states = reachable(parse_pi(HAND_BUILT_PI[label]))
     assert_steps_match_reference(states)
+
+
+def test_congruent_blocks_past_the_permutation_limit_step_like_the_reference():
+    # a block of seven binders keeps its written order in canonical form, so
+    # these two congruent children are not the same node and no redex on
+    # them is skipped as a repeat; every successor must still be listed
+    chain = "a!b | b!c | c!d | d!e | e!f | f!g | g!a | k!a"
+    binders = "abcdefg"
+    forward = "".join(f"new {x}." for x in binders) + f"({chain})"
+    backward = "".join(f"new {x}." for x in reversed(binders)) + f"({chain})"
+    t = pi_canon(parse_pi(f"({forward}) | ({backward}) | k?(x).x!x"))
+    assert len(t.children) == 3
+    assert_steps_match_reference(reachable(t))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_barbs_match_a_whole_term_walk_on_corpus_states(seed):
+    states = reachable(*make_corpus(seed=seed, count=50, size_limit=20).terms)
+    assert len(states) > 50
+    for s in states:
+        restrict = sorted(pi_free_names(s))[::2]
+        assert pi_barbs(s) == reference_pi_barbs(s), show_pi(s)
+        assert pi_barbs(s, restrict) == reference_pi_barbs(s, restrict), show_pi(s)
 
 
 def test_redex_memo_reused_across_states_matches_reference():
