@@ -111,6 +111,7 @@ from .rhoterm import (
 )
 
 from . import encode as _encode
+from . import equiv as _equiv
 from . import piterm as _piterm
 from . import rhoreduce as _rhoreduce
 from . import rhoterm as _rhoterm
@@ -126,6 +127,7 @@ _DERIVED_CACHES = {
         ("rhoreduce", _rhoreduce.DERIVED_CACHES),
         ("piterm", _piterm.DERIVED_CACHES),
         ("encode", _encode.DERIVED_CACHES),
+        ("equiv", _equiv.DERIVED_CACHES),
     )
     for name, table in tables.items()
 }

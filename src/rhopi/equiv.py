@@ -14,7 +14,10 @@ state of another without exploring either again.  The rho_/pi_ entry points
 take terms: they short-circuit identical canonical roots to Bisimilar and
 otherwise explore both graphs, sharing one body with the calculus'
 canonical form, step and barbs plugged in.  ``weak_observations`` gives
-each state of an explored graph its weak barbs.
+each state of an explored graph its weak barbs.  The rho_/pi_ bisim checks
+keep the two graphs of their last call, so a check of the same terms at the
+same budget run next (the weak check after the strong one) explores neither
+again; ``rhopi.clear_caches()`` drops them.
 
 ``graph_divergence`` reads the sound divergence verdicts off an explored
 graph: a reachable cycle is Diverges, a fully explored acyclic graph is
@@ -309,21 +312,32 @@ def _bisim_witness(states, n1, block_of, succ_rel, barb_sig, weak) -> dict:
     return {"reason": "refinement", "note": "roots separated below the first move"}
 
 
+# the two graphs of the last _calculus_bisim call that explored, keyed
+# (canonical root, step function, max_states, max_depth)
+_GRAPHS: dict = {}
+
+#: this module's derived memo tables, as ``rhopi.cache_stats`` reports them
+DERIVED_CACHES = {"graphs": _GRAPHS}
+
+
 def _calculus_bisim(canon, step_fn, barbs, p, q, weak, restrict, max_states, max_depth):
     """barbed_bisim of two terms of one calculus: canon brings a term to its
     canonical form, step_fn and barbs are the calculus' reduction and
     observation (barbs takes the state and the allowed subjects).
-    Identical canonical roots are Bisimilar without exploring."""
+    Identical canonical roots are Bisimilar without exploring.  A graph the
+    previous call explored at the same budget is reused; _GRAPHS then keeps
+    this call's two graphs only."""
     r1, r2 = canon(p), canon(q)
     if r1 == r2:
         return BisimReport(BisimVerdict.BISIMILAR, weak, (1, 1), False, None)
+    graphs = {}
+    for key in ((r1, step_fn, max_states, max_depth), (r2, step_fn, max_states, max_depth)):
+        g = _GRAPHS.get(key)
+        graphs[key] = g if g is not None else explore(*key)
+    _GRAPHS.clear()
+    _GRAPHS.update(graphs)
     allowed = None if restrict is None else list(restrict)
-    return barbed_bisim(
-        explore(r1, step_fn, max_states=max_states, max_depth=max_depth),
-        explore(r2, step_fn, max_states=max_states, max_depth=max_depth),
-        lambda s: barbs(s, allowed),
-        weak=weak,
-    )
+    return barbed_bisim(*graphs.values(), lambda s: barbs(s, allowed), weak=weak)
 
 
 # Entry points pass their calculus' functions at call time, not through a

@@ -40,7 +40,9 @@ class Lts:
     root), giving shortest traces back to the root.  hit is the index of the
     state that satisfied explore's stop predicate, if any; the exploration
     ended there, so states discovered but not yet expanded have no edges.
-    index maps each state to its position in states.
+    index maps each state to its position in states.  ``equiv`` hands a
+    bisim check's graphs to the next check (see its docs), so no caller may
+    mutate a graph.
     """
 
     states: list

@@ -487,6 +487,9 @@ _REDEX: dict = {}
 # canonical top-level child -> its barbs on free atoms
 _BARBS: dict = {}
 
+# canonical state -> the union of its children's barbs, unrestricted
+_STATE_BARBS: dict = {}
+
 #: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
 #: the intern table is not one (``rhopi.clear_caches`` says why)
 DERIVED_CACHES = {
@@ -494,6 +497,7 @@ DERIVED_CACHES = {
     "groups": _GROUPS,
     "redex": _REDEX,
     "barbs": _BARBS,
+    "state_barbs": _STATE_BARBS,
 }
 
 
@@ -660,8 +664,11 @@ def pi_barbs(t: PiTerm, restrict: Optional[Iterable[str]] = None) -> frozenset:
 
     In canonical form a bound subject is a marker, never an atom, so a
     child's barbs do not depend on its siblings: they are memoised per
-    top-level child, and restrict filters their union."""
-    acc = frozenset().union(*map(_child_barbs, _children(pi_canon(t))))
+    top-level child, their union per state, and restrict filters that union."""
+    c = pi_canon(t)
+    acc = _STATE_BARBS.get(c)
+    if acc is None:
+        acc = _STATE_BARBS[c] = frozenset().union(*map(_child_barbs, _children(c)))
     if restrict is None:
         return acc
     allowed = set(restrict)

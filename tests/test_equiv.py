@@ -7,6 +7,8 @@ matcher's unit-level behaviour.
 
 import pytest
 
+import rhopi
+from rhopi import equiv
 from rhopi.encode import encode_mr, encode_ns
 from rhopi.equiv import (
     BisimVerdict,
@@ -341,3 +343,99 @@ def test_replay_matching_peels_output_wrapping():
 def test_replay_matching_keeps_binder_structure_rigid():
     assert not iso(inp(x, a, drop(a)), inp(x, a, nil()))
     assert iso(inp(x, a, drop(a)), inp(lincr(x), a, drop(a)))
+
+
+# ---------------------------------------------------------------------------
+# Shared explorations and per-state barbs
+# ---------------------------------------------------------------------------
+
+
+def _handshake(k: int, relayed=None):
+    """P_k, the parallel composition of a_i!b | a_i?(x).c_i!x for i < k, or
+    with relayed = i, Q_k: component i's continuation goes through a private
+    relay new z.(z!x | z?(y).c_i!y)."""
+    comps = []
+    for i in range(k):
+        cont = pout(f"c{i}", "x")
+        if i == relayed:
+            cont = pnew("z", ppar(pout("z", "x"), pin("z", "y", pout(f"c{i}", "y"))))
+        comps += [pout(f"a{i}", "b"), pin(f"a{i}", "x", cont)]
+    return ppar(*comps)
+
+
+_P3, _Q3 = _handshake(3), _handshake(3, relayed=0)
+
+
+def _count_pi_steps(monkeypatch) -> list:
+    calls = [0]
+
+    def counting_step(s):
+        calls[0] += 1
+        return pi_step(s)
+
+    monkeypatch.setattr(equiv, "pi_step", counting_step)
+    return calls
+
+
+def test_weak_check_after_strong_explores_each_root_once(monkeypatch):
+    calls = _count_pi_steps(monkeypatch)
+    rhopi.clear_caches()
+    strong = pi_barbed_bisim(_P3, _Q3, weak=False)
+    stepped = calls[0]
+    weak = pi_barbed_bisim(_P3, _Q3, weak=True)
+    assert strong.verdict is BisimVerdict.NOT_BISIMILAR
+    assert weak.verdict is BisimVerdict.BISIMILAR
+    # every state of both graphs is stepped once, all by the strong check
+    assert calls[0] == stepped == sum(strong.states) == sum(weak.states)
+    assert rhopi.cache_stats()["equiv.graphs"] == 2
+
+
+def test_shared_graphs_give_the_reports_of_checks_run_alone():
+    rhopi.clear_caches()
+    shared = [pi_barbed_bisim(_P3, _Q3, weak=weak) for weak in (False, True)]
+    alone = []
+    for weak in (False, True):
+        rhopi.clear_caches()
+        alone.append(pi_barbed_bisim(_P3, _Q3, weak=weak))
+    for s, a in zip(shared, alone):
+        assert (s.verdict, s.witness, s.states, s.blocks) == (
+            a.verdict,
+            a.witness,
+            a.states,
+            a.blocks,
+        )
+
+
+def test_only_the_last_checks_graphs_are_kept(monkeypatch):
+    calls = _count_pi_steps(monkeypatch)
+    rhopi.clear_caches()
+    pi_barbed_bisim(_P3, _Q3)
+    first = calls[0]
+    pi_barbed_bisim(_P3, _Q3)
+    assert calls[0] == first
+    # another budget explores both roots again, and its graphs replace them
+    pi_barbed_bisim(_P3, _Q3, max_depth=100)
+    assert calls[0] == 2 * first
+    assert rhopi.cache_stats()["equiv.graphs"] == 2
+    # another pair reuses what it shares with the last check
+    p2 = _handshake(2)
+    report = pi_barbed_bisim(p2, _P3, max_depth=100)
+    assert calls[0] == 2 * first + report.states[0]
+    assert rhopi.cache_stats()["equiv.graphs"] == 2
+
+
+def test_state_barbs_are_the_restricted_union_over_children():
+    t = ppar(
+        pout("a", "b"),
+        pin("c", "x", pout("x", "d")),
+        pnew("z", ppar(pout("z", "a"), pin("z", "y", pnil()))),
+        prepl(pin("e", "x", pnil())),
+    )
+    restrict = ["a", "c", "z"]
+    children = pi_canon(t).children
+    for _ in range(2):
+        union = frozenset().union(*(pi_barbs(c) for c in children))
+        assert pi_barbs(t) == union == {("out", "a"), ("in", "c"), ("in", "e")}
+        assert pi_barbs(t, restrict) == {b for b in union if b[1] in restrict}
+        assert rhopi.cache_stats()["piterm.state_barbs"] > 0
+        rhopi.clear_caches()

@@ -111,10 +111,18 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     def criteria():
         return _verdicts_and_evidence(check_criteria(seed=2, count=4, size=8))
 
+    def relayed():
+        # a handshake against the same one relayed: weakly bisimilar, with
+        # distinct canonical roots, so both graphs are explored
+        relay = pnew("z", ppar(pout("z", "x"), pin("z", "y", pout("c", "y"))))
+        p, q = (ppar(pout("a", "b"), pin("a", "x", k)) for k in (pout("c", "x"), relay))
+        return rhopi.pi_barbed_bisim(p, q)
+
     warm = [
         _verdicts_and_evidence(repro_cex1()),
         _verdicts_and_evidence(repro_cex2()),
         criteria(),
+        relayed(),
     ]
     stats = rhopi.cache_stats()
     assert stats["rhoterm.canon_proc"] > 0
@@ -126,17 +134,23 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     assert stats["piterm.barbs"] > 0
     assert stats["encode.params"] > 0
     assert stats["encode.name_server"] > 0
+    assert stats["equiv.graphs"] > 0
+    assert stats["piterm.state_barbs"] > 0
 
     rhopi.clear_caches()
     assert set(rhopi.cache_stats().values()) == {0}
     assert rhopi.cache_stats()["piterm.redex"] == 0
     assert rhopi.cache_stats()["piterm.barbs"] == 0
     assert rhopi.cache_stats()["rhoreduce.rank"] == 0
+    assert rhopi.cache_stats()["equiv.graphs"] == 0
+    assert rhopi.cache_stats()["piterm.state_barbs"] == 0
     cold = [_verdicts_and_evidence(repro_cex1())]
     rhopi.clear_caches()
     cold.append(_verdicts_and_evidence(repro_cex2()))
     rhopi.clear_caches()
     cold.append(criteria())
+    rhopi.clear_caches()
+    cold.append(relayed())
     assert cold == warm
 
 
