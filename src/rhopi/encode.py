@@ -27,6 +27,7 @@ congruence (that failure is the point of the counter-examples).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -40,6 +41,7 @@ from .rhoterm import (
     canon_proc,
     drop,
     gen_fresh,
+    gen_fresh_sorted,
     inp,
     lift,
     lincr,
@@ -259,7 +261,9 @@ def make_encoding_params(policy: RenamingPolicy, others: Iterable[RhoName] = ())
 
 
 def _choose_params(image: frozenset, others: tuple) -> EncodingParams:
+    """Choose each name as ``gen_fresh`` would, sorting the avoid set once."""
     avoid = set(image) | {rincr(NULL_NAME)} | set(others)
+    ordered = sorted(avoid, key=lambda n: n.key)
     chosen: list = []
     # The null name is a permanent guard: a candidate whose quoted body
     # collapses to a bare increment would otherwise sit inside the namespace
@@ -267,17 +271,14 @@ def _choose_params(image: frozenset, others: tuple) -> EncodingParams:
     guards = [NULL_NAME, *others]
     while len(chosen) < 5:
         for _ in range(_MAX_TRIES):
-            cand = gen_fresh(avoid)
-            conflict = any(
-                derivable([c], cand) or derivable([cand], c) for c in chosen + guards
-            )
-            if not conflict:
-                break
+            cand = gen_fresh_sorted(ordered, avoid)
             avoid.add(cand)
+            bisect.insort(ordered, cand, key=lambda n: n.key)
+            if not any(derivable([c], cand) or derivable([cand], c) for c in chosen + guards):
+                break
         else:  # pragma: no cover - the retry loop converges immediately in practice
             raise EncodingError("could not choose mutually underivable machine names")
         chosen.append(cand)
-        avoid.add(cand)
     params = EncodingParams(*chosen)
     assert not derivable([NULL_NAME], params.n) or params.n is NULL_NAME
     return params

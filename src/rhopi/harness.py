@@ -818,9 +818,10 @@ def _prop3_operational_correspondence(b: dict, bounds: dict) -> tuple:
 def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
     """Immediate source observations survive encoding (componentwise, weakly),
     and encoded observations never exceed the source's weak observations.
-    A sub-check left Unknown by a cut-off graph names the bound it hit
-    (``barbs_budget``, ``inclusion_budget``; ``pi_`` marks a source leaf's
-    graph)."""
+    Each leaf is encoded with the term's machine names, so prop2's and
+    prop3's additions to the policy do not change them.  A sub-check left
+    Unknown by a cut-off graph names the bound it hit (``barbs_budget``,
+    ``inclusion_budget``; ``pi_`` marks a source leaf's graph)."""
     leaves = []
     stack = [b["term"]]
     while stack:
@@ -836,7 +837,7 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
     # source's own barbs
     graphs = [
         explore(
-            encode_ns(leaf, policy=b["pol"]).state,
+            encode_ns(leaf, policy=b["pol"], params=b["params"]).state,
             rho_step,
             max_states=bounds["max_states"],
             max_depth=bounds["max_depth"],

@@ -85,6 +85,7 @@ __all__ = [
     "peel",
     "ns_member",
     "gen_fresh",
+    "gen_fresh_sorted",
     "proc_size",
     "name_size",
     "show_proc",
@@ -326,7 +327,10 @@ def _canon(p: RhoProc, env: tuple) -> RhoProc:
         raise TypeError(f"not a process: {p!r}")
 
     _CANON_PROC[cache_key] = out
-    _CANON_PROC[(out, env)] = out
+    # out is its own form under env only when env's binders are real names;
+    # under markers (subst_marker's re-canonicalization) it renumbers them
+    if not any(isinstance(b, BoundMarker) for b in env):
+        _CANON_PROC[(out, env)] = out
     return out
 
 
@@ -589,11 +593,17 @@ def ns_member(root: RhoName, scheme: NamespaceScheme, x: RhoName) -> bool:
 
 def gen_fresh(avoid: Iterable[RhoName]) -> RhoName:
     """Deterministic fresh-name generator: quote the parallel composition of
-    x!(0) over the avoid set (canonically ordered), then left-increment until
-    the candidate is not equivalent to any avoided name."""
+    x!(0) over the canonical avoid set, then left-increment until the
+    candidate is not equivalent to any avoided name (``gen_fresh_sorted``)."""
     avoid_set = frozenset(canon_name(a) for a in avoid)
-    ordered = sorted(avoid_set, key=lambda n: n.key)
-    candidate = canon_name(quote(par(*(lift(a, _NIL_NODE) for a in ordered))))
+    return gen_fresh_sorted(sorted(avoid_set, key=lambda n: n.key), avoid_set)
+
+
+def gen_fresh_sorted(ordered: Sequence[RhoName], avoid_set: set | frozenset) -> RhoName:
+    """``gen_fresh`` of a set of canonical names that ordered lists in key
+    order, so a caller that grows the set sorts it once (each x!(0) of a
+    canonical x is canonical, and sorts as its x)."""
+    candidate = canon_name(quote(canon_sorted_par([lift(a, _NIL_NODE) for a in ordered])))
     while candidate in avoid_set:
         candidate = lincr(candidate)
     return candidate

@@ -4,9 +4,12 @@ derivability between static names, and the error paths."""
 
 import pytest
 
+import rhopi
 from rhopi.encode import (
     EncodingError,
+    EncodingParams,
     RenamingPolicy,
+    _choose_params,
     copier,
     default_mr_params,
     derivable,
@@ -17,6 +20,7 @@ from rhopi.encode import (
     translate_mr,
     translate_ns,
 )
+from rhopi.harness import Corpus, check_criteria
 from rhopi.piterm import pi_canon, pin, pnew, pnil, pout, ppar, prepl
 from rhopi.rhoterm import (
     NULL_NAME,
@@ -24,6 +28,7 @@ from rhopi.rhoterm import (
     Lift,
     canon_proc,
     drop,
+    gen_fresh,
     inp,
     lift,
     lincr,
@@ -123,6 +128,41 @@ def test_parameters_respect_extra_exclusions():
             assert not name_eq(p, o)
             assert not derivable([o], p)
             assert not derivable([p], o)
+
+
+def reference_choose_params(image, others):
+    """The machine names as specified: each round asks the public gen_fresh
+    for a name clear of everything avoided so far."""
+    avoid = set(image) | {rincr(NULL_NAME)} | set(others)
+    guards = [NULL_NAME, *others]
+    chosen = []
+    while len(chosen) < 5:
+        cand = gen_fresh(avoid)
+        avoid.add(cand)
+        if not any(derivable([c], cand) or derivable([cand], c) for c in chosen + guards):
+            chosen.append(cand)
+    return EncodingParams(*chosen)
+
+
+def test_chosen_names_match_one_gen_fresh_per_round():
+    tower = [NULL_NAME]
+    while len(tower) < 30:
+        tower.append(lincr(tower[-1]))
+    for k in range(31):
+        image = frozenset(tower[:k])
+        first = _choose_params(image, ())
+        assert first == reference_choose_params(image, ())
+        others = first.all_names()
+        assert _choose_params(image, others) == reference_choose_params(image, others)
+
+
+def test_a_criteria_term_chooses_its_machine_names_once_and_prop1_once():
+    # prop2 and prop3 add atoms to the term's policy; prop4 still encodes its
+    # leaves with the term's names, so no third choice is made
+    term = ppar(pout("a", "b"), pin("a", "x", pout("x", "x")))
+    rhopi.clear_caches()
+    check_criteria(Corpus(seed=1, size_limit=5, terms=[term]))
+    assert rhopi.cache_stats()["encode.params"] == 2
 
 
 # ---------------------------------------------------------------------------

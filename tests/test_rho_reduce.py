@@ -280,6 +280,26 @@ def states_step_sees(monkeypatch, experiment) -> list:
     return list(dict.fromkeys(reached))
 
 
+def test_a_consumed_body_keeps_its_middle_binder_after_another_step():
+    # stepping the *v consumer re-canonicalizes *y2 under the binder markers
+    # (y1, y2) as *y1; that must not record *y1 as canonical there, or the *u
+    # consumer's *y1 (the middle binder) keeps its index and is captured
+    names = [xn]
+    while len(names) < 6:
+        names.append(gen_fresh(names))
+    a, b, c, y, u, v = names
+
+    def consumer(body):
+        return par(lift(a, nil()), inp(a, y, inp(b, u, inp(c, v, body))))
+
+    rhopi.clear_caches()
+    (cold,) = step(consumer(drop(u)))
+    assert cold.body.body is drop(marker(0))
+    rhopi.clear_caches()
+    step(consumer(drop(v)))
+    assert step(consumer(drop(u))) == [cold]
+
+
 def test_step_matches_reference_on_cex1_states(monkeypatch):
     states = states_step_sees(monkeypatch, harness.repro_cex1)
     assert len(states) > 100

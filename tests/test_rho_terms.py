@@ -3,20 +3,27 @@ equivalence (structural congruence on processes, name equivalence with
 drop-collapse on names), substitution, quote depth, namespaces, and the
 deterministic fresh-name generator."""
 
+import functools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rhopi
 from rhopi import equiv, harness
 from rhopi.piterm import _PINTERN, PiMarker, PiTerm, PPar, pimarker, pout, ppar
 from rhopi.rhoreduce import components
 from rhopi.rhoterm import (
+    _CANON_PROC,
     _INTERN,
     NULL_NAME,
     BoundMarker,
+    Drop,
+    Input,
+    Lift,
     NamespaceScheme,
+    Nil,
     Par,
     Quote,
     RhoTerm,
@@ -372,3 +379,65 @@ def test_sorted_parallel_matches_full_canonicalization(seed):
     merged = canon_sorted_par(kids)
     assert merged is canon_proc(par(p, q))
     assert canon_proc(merged) is merged
+
+
+# ---------------------------------------------------------------------------
+# The canonical-form memo holds only true canonical forms
+# ---------------------------------------------------------------------------
+
+
+# memoised on their own arguments only, so a result is always the one a
+# recursion from scratch gives; neither consults the package's memo tables
+@functools.cache
+def reference_canon_name(x):
+    """canon_name recomputed without the package's memo tables."""
+    if isinstance(x, BoundMarker):
+        return x
+    body = reference_canon(x.body, ())
+    return body.name if isinstance(body, Drop) else quote(body)
+
+
+@functools.cache
+def reference_canon(p, env):
+    """The canonical form of p under the binders env (outermost first),
+    recomputed without the package's memo tables: an occurrence of a binder
+    becomes the marker of its innermost level, an input's binder the marker
+    of its own level."""
+
+    def occ(n):
+        c = reference_canon_name(n)
+        bound = [lvl for lvl, b in enumerate(env) if b is c]
+        return marker(bound[-1]) if bound else c
+
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, Drop):
+        return drop(occ(p.name))
+    if isinstance(p, Lift):
+        return lift(occ(p.subject), reference_canon(p.body, env))
+    if isinstance(p, Input):
+        body = reference_canon(p.body, env + (reference_canon_name(p.binder),))
+        return inp(occ(p.subject), marker(len(env)), body)
+    kids = []
+    for child in p.children:
+        c = reference_canon(child, env)
+        if isinstance(c, Par):
+            kids.extend(c.children)
+        elif not isinstance(c, Nil):
+            kids.append(c)
+    return par(*sorted(kids, key=lambda t: t.key))
+
+
+def test_the_canonical_form_memo_agrees_with_a_cache_free_canonicalizer():
+    # subst_marker re-canonicalizes consumed bodies under binder markers,
+    # where a canonical form is not its own form; an entry recording it as one
+    # poisons later steps and gives prop3 false Fails
+    rhopi.clear_caches()
+    harness.check_criteria(seed=1, count=50, size=10)
+    harness.repro_cex1()
+    entries = list(_CANON_PROC.items())
+    assert len(entries) > 1000
+    wrong = [(p, env) for (p, env), out in entries if reference_canon(p, env) is not out]
+    reference_canon.cache_clear()
+    reference_canon_name.cache_clear()
+    assert wrong == []
