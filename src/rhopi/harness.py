@@ -611,15 +611,18 @@ def repro_cex2(
     f1 = _flag_search(encc1.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
     f2 = _flag_search(encc2.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
     separated = f1.verdict is not Verdict.YES and f2.verdict is Verdict.YES
+    evidence = {
+        "fresh_per_round": f1.verdict.value,
+        "constant": f2.verdict.value,
+        "flag_depth": f2.depth,
+    }
+    if f1.verdict is Verdict.UNKNOWN:
+        evidence["fresh_per_round_budget"] = f1.truncated_reason
     checks.append(
         Check(
             "encoded side: the translated context flags only the constant-object translation",
             PASS if separated else FAIL,
-            {
-                "fresh_per_round": f1.verdict.value,
-                "constant": f2.verdict.value,
-                "flag_depth": f2.depth,
-            },
+            evidence,
         )
     )
 

@@ -9,7 +9,9 @@ distinguish "No" from "Unknown".
 A state sitting at the depth bound is still expanded — edges to states
 already in the graph are kept (so cycles crossing the frontier are seen) and
 only genuinely new states are dropped, which is the one case information is
-lost.
+lost.  A search (below) reads no edges: once its graph is truncated, it
+does not expand a state at the depth bound, which admits no new state, and
+leaves it with no edges.
 
 An optional ``stop`` predicate turns the exploration into a search: the
 first state it accepts, tested as the state is dequeued and before it is
@@ -39,7 +41,8 @@ class Lts:
     parents[i] is the index state i was first discovered from (None for the
     root), giving shortest traces back to the root.  hit is the index of the
     state that satisfied explore's stop predicate, if any; the exploration
-    ended there, so states discovered but not yet expanded have no edges.
+    ended there, so states discovered but not yet expanded have no edges;
+    nor do the depth-bound states a truncated search skipped (see explore).
     index maps each state to its position in states.  ``equiv`` hands a
     bisim check's graphs to the next check (see its docs), so no caller may
     mutate a graph.
@@ -75,7 +78,9 @@ def explore(
     """Breadth-first reduction graph from root under step_fn, bounded by
     max_states (total distinct states kept) and max_depth (tree depth at
     which new states are no longer admitted).  The run ends at the first
-    dequeued state satisfying stop, if given (see ``Lts.hit``)."""
+    dequeued state satisfying stop, if given (see ``Lts.hit``); a truncated
+    search stop-tests but does not expand states at the depth bound.  Those
+    come last and admit nothing, so the cut's reason cannot change."""
     states = [root]
     index = {root: 0}
     edges: list = [[]]
@@ -92,6 +97,8 @@ def explore(
         if stop is not None and stop(states[i]):
             hit = i
             break
+        if stop is not None and truncated and depths[i] >= max_depth:
+            continue
         seen_targets = set()
         for succ in step_fn(states[i]):
             j = index.get(succ)
@@ -137,6 +144,7 @@ class BarbSearch:
     trace: Optional[list] = None
     explored: int = 0
     truncated: bool = False
+    truncated_reason: Optional[str] = None  # the budget that cut the search
 
 
 def weak_barb_search(
@@ -152,10 +160,9 @@ def weak_barb_search(
     trace.  NO requires the bounded exploration to have been exhaustive.
     """
     g = explore(root, step_fn, max_states=max_states, max_depth=max_depth, stop=pred)
+    n, cut, reason = len(g.states), g.truncated, g.truncated_reason
     if g.hit is not None:
-        return BarbSearch(
-            Verdict.YES, g.depths[g.hit], g.trace_to(g.hit), len(g.states), g.truncated
-        )
-    if g.truncated:
-        return BarbSearch(Verdict.UNKNOWN, None, None, len(g.states), True)
-    return BarbSearch(Verdict.NO, None, None, len(g.states), False)
+        return BarbSearch(Verdict.YES, g.depths[g.hit], g.trace_to(g.hit), n, cut, reason)
+    if cut:
+        return BarbSearch(Verdict.UNKNOWN, None, None, n, True, reason)
+    return BarbSearch(Verdict.NO, None, None, n, False)

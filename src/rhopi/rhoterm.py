@@ -337,14 +337,18 @@ def _canon(p: RhoProc, env: tuple) -> RhoProc:
 def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
     """Canonical form of ``par(*kids)`` when kids is a key-sorted sequence of
     canonical top-level components (no 0, no Par): 0 for none, the child
-    itself for one, else their interned Par, recorded as its own canonical
-    form."""
+    itself for one, else their interned Par: one lookup if it is known, else
+    built and recorded once as its own canonical form (a Par that ``par``
+    interned is only a memo miss; ``_canon`` finds it itself)."""
     if not kids:
         return _NIL_NODE
     if len(kids) == 1:
         return kids[0]
-    out = par(*kids)
-    _CANON_PROC[(out, ())] = out
+    ident = (Par, tuple(kids))
+    out = _INTERN.get(ident)
+    if out is None:
+        out = _add(ident, (4, *(c.key for c in kids)))
+        _CANON_PROC[(out, ())] = out
     return out
 
 

@@ -3,6 +3,11 @@ breadth-first graphs, truncation accounting, shortest traces, and the
 three-valued weak-observation search, and exploration cut short by a stop
 predicate."""
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rhopi.lts import Lts, Verdict, explore, weak_barb_search
 
 
@@ -115,6 +120,59 @@ def test_stop_never_true_matches_plain_explore():
     assert stopped.truncated == plain.truncated
 
 
+def random_step(seed):
+    """A step function over a seeded random graph on 0..n-1: a chain n ->
+    n+1 so depth grows, plus random edges, among them edges back to smaller
+    states, which close cycles across any depth bound."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 40)
+    adj = {
+        s: [s + 1] * (s + 1 < n)
+        + [rng.randrange(s + 1)]
+        + [rng.randrange(n) for _ in range(rng.randrange(3))]
+        for s in range(n)
+    }
+    return adj.__getitem__
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 40),
+    st.integers(0, 8),
+    st.frozensets(st.integers(0, 60), max_size=3),
+)
+def test_a_search_agrees_with_plain_exploration(seed, max_states, max_depth, stops):
+    step = random_step(seed)
+    plain = explore(0, step, max_states=max_states, max_depth=max_depth)
+    stepped = []
+
+    def counting_step(s):
+        stepped.append(s)
+        return step(s)
+
+    search = explore(
+        0, counting_step, max_states=max_states, max_depth=max_depth, stop=stops.__contains__
+    )
+    n = len(search.states)
+    assert search.states == plain.states[:n]
+    assert search.depths == plain.depths[:n]
+    assert search.parents == plain.parents[:n]
+    if search.hit is None:
+        assert n == len(plain.states)
+        assert search.truncated == plain.truncated
+        assert search.truncated_reason == plain.truncated_reason
+    # an expanded state has its plain edges; a skipped one has none
+    for i, s in enumerate(search.states):
+        assert search.edges[i] == (plain.edges[plain.index[s]] if s in stepped else [])
+    # a successor missing from the final graph was dropped, so the first
+    # step that yields one is the cut; no depth-bound state is stepped after it
+    cut = next((k for k, s in enumerate(stepped) if set(step(s)) - set(search.index)), None)
+    assert search.truncated == (cut is not None)
+    if cut is not None:
+        assert all(search.depths[search.index[s]] < max_depth for s in stepped[cut + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # weak_barb_search
 # ---------------------------------------------------------------------------
@@ -145,6 +203,10 @@ def test_search_unknown_when_truncated():
     r = weak_barb_search(0, chain_step(100), lambda n: n == 99, max_states=5)
     assert r.verdict is Verdict.UNKNOWN
     assert r.truncated
+    assert r.truncated_reason == "max_states"
+    r = weak_barb_search(0, chain_step(100), lambda n: n == 99, max_depth=5)
+    assert r.verdict is Verdict.UNKNOWN
+    assert r.truncated_reason == "max_depth"
 
 
 def test_search_yes_beats_truncation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhopi
-from rhopi import equiv, harness
+from rhopi import equiv, harness, lts
 from rhopi.piterm import _PINTERN, PiMarker, PiTerm, PPar, pimarker, pout, ppar
 from rhopi.rhoreduce import components
 from rhopi.rhoterm import (
@@ -441,3 +441,32 @@ def test_the_canonical_form_memo_agrees_with_a_cache_free_canonicalizer():
     reference_canon.cache_clear()
     reference_canon_name.cache_clear()
     assert wrong == []
+
+
+def test_the_flag_search_states_are_their_own_canonical_forms(monkeypatch):
+    # the flag search builds its successors through canon_sorted_par, which
+    # returns a Par already interned in one lookup; every state it admits must
+    # still be its own canonical form, and the memo must hold true forms only
+    graphs = []
+
+    def recording_explore(*args, **kwargs):
+        g = real_explore(*args, **kwargs)
+        if kwargs.get("stop") is not None:
+            graphs.append(g)
+        return g
+
+    real_explore = lts.explore
+    monkeypatch.setattr(lts, "explore", recording_explore)
+    rhopi.clear_caches()
+    harness.repro_cex2()
+    states = [s for g in graphs for s in g.states]
+    assert len(graphs) == 2 and len(states) > 1000
+    assert all(canon_proc(s) is s for s in states)
+    entries = list(_CANON_PROC.items())
+    wrong = [(p, env) for (p, env), out in entries if reference_canon(p, env) is not out]
+    assert wrong == []
+    rhopi.clear_caches()
+    assert all(canon_proc(s) is s for s in states)
+    assert all(reference_canon(s, ()) is s for s in states)
+    reference_canon.cache_clear()
+    reference_canon_name.cache_clear()
