@@ -41,6 +41,7 @@ from .equiv import (
     barbed_bisim,
     bisim_blocks,
     divergence_probe,
+    graph_barbs,
     graph_divergence,
     pi_barbed_bisim,
     pi_divergence,

@@ -281,28 +281,32 @@ def _parse_defs(cur: _Cursor, parse_one: Callable, defs: dict) -> None:
         defs[name.text] = parse_one(cur, defs)
 
 
-def parse_rho(text: str) -> RhoProc:
-    """Parse a reflective-calculus process; the result is canonical."""
+def _parse_text(text: str, parse_def: Callable, parse_one: Callable, what: str):
+    """Tokenize text, read its ``def``s with parse_def, then one term or
+    name (what) with parse_one, and require the end of input."""
     cur = _Cursor(_tokenize(text))
     defs: dict = {}
-    _parse_defs(cur, lambda c, d: _parse_rho_proc(c, {}, 0, d), defs)
-    p = _parse_rho_proc(cur, {}, 0, defs)
+    _parse_defs(cur, parse_def, defs)
+    x = parse_one(cur, defs)
     tail = cur.peek()
     if tail.kind != "eof":
-        raise ParseError(f"unexpected {tail.text!r} after term", tail.line, tail.col)
-    return canon_proc(p)
+        raise ParseError(f"unexpected {tail.text!r} after {what}", tail.line, tail.col)
+    return x
+
+
+def _parse_rho_top(cur: _Cursor, defs: dict) -> RhoProc:
+    return _parse_rho_proc(cur, {}, 0, defs)
+
+
+def parse_rho(text: str) -> RhoProc:
+    """Parse a reflective-calculus process; the result is canonical."""
+    return canon_proc(_parse_text(text, _parse_rho_top, _parse_rho_top, "term"))
 
 
 def parse_rho_name(text: str) -> RhoName:
     """Parse a closed name (@P); the result is canonical."""
-    cur = _Cursor(_tokenize(text))
-    defs: dict = {}
-    _parse_defs(cur, lambda c, d: _parse_rho_proc(c, {}, 0, d), defs)
-    x = _parse_rho_name(cur, {}, defs)
-    tail = cur.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected {tail.text!r} after name", tail.line, tail.col)
-    return canon_name(x)
+    name = _parse_text(text, _parse_rho_top, lambda c, d: _parse_rho_name(c, {}, d), "name")
+    return canon_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +369,12 @@ def _parse_pi_unit(cur: _Cursor, defs: dict) -> PiTerm:
 
 def parse_pi(text: str) -> PiTerm:
     """Parse a name-passing process, as written (not canonicalized)."""
-    cur = _Cursor(_tokenize(text))
-    defs: dict = {}
-    _parse_defs(cur, lambda c, d: _parse_pi_proc(c, d), defs)
-    p = _parse_pi_proc(cur, defs)
-    tail = cur.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected {tail.text!r} after term", tail.line, tail.col)
-    return p
+    return _parse_text(text, _parse_pi_proc, _parse_pi_proc, "term")
+
+
+def _parse_pi_name(text: str) -> str:
+    """Parse one name-passing name (an identifier)."""
+    return _parse_text(text, _parse_pi_proc, lambda c, d: c.expect("ident").text, "name")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +442,26 @@ def _encoding_aliases(enc) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Calculus:
+    """What the commands that take either calculus need of it."""
+
+    parse: Callable
+    show: Callable
+    parse_subject: Callable  # a barb subject, as --restrict names it
+    show_subject: Callable
+    bisim: Callable
+    diverge: Callable
+
+
+_CALCULI = {
+    "rho": _Calculus(
+        parse_rho, show_proc, parse_rho_name, show_name, rho_barbed_bisim, divergence_probe
+    ),
+    "pi": _Calculus(parse_pi, show_pi, _parse_pi_name, str, pi_barbed_bisim, pi_divergence),
+}
+
+
 def _read_term_arg(arg: str, default_calculus: str) -> tuple:
     """Return (text, calculus): file contents when arg names a term file."""
     if arg.endswith((".rho", ".pi")) and os.path.isfile(arg):
@@ -467,7 +489,7 @@ def _split_restrict(spec: str) -> list:
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -478,7 +500,7 @@ def _error(args, message: str, code: int) -> int:
     """Report an error on stderr (and as a JSON object on stdout in JSON
     mode, so that the output always parses); returns the exit status."""
     print(f"error: {message}", file=sys.stderr)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"error": message}))
     return code
 
@@ -491,11 +513,7 @@ def _verdict_line(verdict: str, reason: Optional[str]) -> str:
 
 
 def _report_out(args, rep: Report) -> int:
-    if getattr(args, "json", False):
-        print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    else:
-        for line in rep.summary_lines():
-            print(line)
+    _emit(args, rep.to_dict(), rep.summary_lines())
     return 0 if rep.passed else 1
 
 
@@ -505,14 +523,10 @@ def _report_out(args, rep: Report) -> int:
 
 
 def _cmd_parse(args) -> int:
-    text, calc = _read_term_arg(args.term, args.calculus)
-    if calc == "pi":
-        t = parse_pi(text)
-        shown = show_pi(t)
-    else:
-        t = parse_rho(text)
-        shown = show_proc(t)
-    _emit(args, {"calculus": calc, "term": shown}, [shown])
+    text, name = _read_term_arg(args.term, args.calculus)
+    calc = _CALCULI[name]
+    shown = calc.show(calc.parse(text))
+    _emit(args, {"calculus": name, "term": shown}, [shown])
     return 0
 
 
@@ -623,15 +637,13 @@ def _cmd_bisim(args) -> int:
     text_b, calc_b = _read_term_arg(args.b, args.calculus)
     if calc_a != calc_b:
         return _error(args, "cannot compare terms from different calculi", 2)
+    calc = _CALCULI[calc_a]
     restrict = None
     if args.restrict:
-        parts = _split_restrict(args.restrict)
-        restrict = parts if calc_a == "pi" else [parse_rho_name(s) for s in parts]
-    fn = pi_barbed_bisim if calc_a == "pi" else rho_barbed_bisim
-    parse = parse_pi if calc_a == "pi" else parse_rho
-    rep = fn(
-        parse(text_a),
-        parse(text_b),
+        restrict = [calc.parse_subject(s) for s in _split_restrict(args.restrict)]
+    rep = calc.bisim(
+        calc.parse(text_a),
+        calc.parse(text_b),
         weak=args.weak,
         restrict=restrict,
         max_states=args.max_states,
@@ -643,7 +655,7 @@ def _cmd_bisim(args) -> int:
         "states": list(rep.states),
         "truncated": rep.truncated,
         "truncated_reason": rep.truncated_reason,
-        "witness": _render_witness(rep.witness, calc_a),
+        "witness": _render_witness(rep.witness, calc),
     }
     lines = [_verdict_line(rep.verdict.value, rep.truncated_reason)]
     if rep.witness:
@@ -652,29 +664,24 @@ def _cmd_bisim(args) -> int:
     return 0 if rep.verdict is BisimVerdict.BISIMILAR else 1
 
 
-def _render_witness(witness: Optional[dict], calc: str) -> Optional[dict]:
+def _render_witness(witness: Optional[dict], calc: _Calculus) -> Optional[dict]:
     """A bisimulation witness in surface syntax: barbs as "direction name",
     states as printed terms."""
     if witness is None:
         return None
-    show_state = show_pi if calc == "pi" else show_proc
-    show_subject = str if calc == "pi" else show_name
     out = dict(witness)
     if "only" in witness:
         side, found = witness["only"]
-        out["only"] = [side, [f"{d} {show_subject(x)}" for d, x in found]]
+        out["only"] = [side, [f"{d} {calc.show_subject(x)}" for d, x in found]]
     if "to_state" in witness:
-        out["to_state"] = show_state(witness["to_state"])
+        out["to_state"] = calc.show(witness["to_state"])
     return out
 
 
 def _cmd_diverge(args) -> int:
-    text, calc = _read_term_arg(args.term, args.calculus)
-    if calc == "pi":
-        probe, term = pi_divergence, parse_pi(text)
-    else:
-        probe, term = divergence_probe, parse_rho(text)
-    rep = probe(term, max_states=args.max_states, max_depth=args.max_depth)
+    text, name = _read_term_arg(args.term, args.calculus)
+    calc = _CALCULI[name]
+    rep = calc.diverge(calc.parse(text), max_states=args.max_states, max_depth=args.max_depth)
     payload = {k: getattr(rep, k) for k in ("rule", "states", "truncated", "truncated_reason")}
     payload["verdict"] = rep.verdict.value
     line = _verdict_line(rep.verdict.value, rep.truncated_reason)
@@ -683,13 +690,9 @@ def _cmd_diverge(args) -> int:
 
 
 def _cmd_repro(args) -> int:
+    run = {"cex1": repro_cex1, "cex2": repro_cex2, "separation": repro_separation_witness}
     try:
-        if args.experiment == "cex1":
-            rep = repro_cex1()
-        elif args.experiment == "cex2":
-            rep = repro_cex2()
-        else:
-            rep = repro_separation_witness()
+        rep = run[args.experiment]()
     except BoundsTooSmall as exc:
         return _error(args, str(exc), 1)
     return _report_out(args, rep)
@@ -721,84 +724,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", help="parse a term and print it back")
+    def command(name: str, fn: Callable, help: str):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(fn=fn)
+        return sp
+
+    sp = command("parse", _cmd_parse, "parse a term and print it back")
     sp.add_argument("term")
-    sp.add_argument("--calculus", choices=("rho", "pi"), default="rho")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_parse)
+    sp.add_argument("--calculus", choices=tuple(_CALCULI), default="rho")
 
-    sp = sub.add_parser("nameq", help="name equivalence of two names")
+    sp = command("nameq", _cmd_nameq, "name equivalence of two names")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_nameq)
 
-    sp = sub.add_parser("structeq", help="structural congruence of two processes")
+    sp = command("structeq", _cmd_structeq, "structural congruence of two processes")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_structeq)
 
-    sp = sub.add_parser("qdepth", help="quote depth of a name or process")
+    sp = command("qdepth", _cmd_qdepth, "quote depth of a name or process")
     sp.add_argument("term")
     sp.add_argument("--name", action="store_true", help="force name parse")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_qdepth)
 
-    sp = sub.add_parser("reduce", help="run a bounded reduction sequence")
+    sp = command("reduce", _cmd_reduce, "run a bounded reduction sequence")
     sp.add_argument("term")
     sp.add_argument("--steps", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_reduce)
 
-    sp = sub.add_parser("trace", help="run to a stuck state or the depth bound")
+    sp = command("trace", _cmd_trace, "run to a stuck state or the depth bound")
     sp.add_argument("term")
     sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_trace)
 
-    sp = sub.add_parser("barbs", help="immediate observables of a process")
+    sp = command("barbs", _cmd_barbs, "immediate observables of a process")
     sp.add_argument("term")
     sp.add_argument("--restrict", help="comma-separated names to observe")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_barbs)
 
-    sp = sub.add_parser("encode", help="translate a name-passing term")
+    sp = command("encode", _cmd_encode, "translate a name-passing term")
     sp.add_argument("term")
     sp.add_argument("--scheme", choices=("ns", "mr"), default="ns")
     sp.add_argument("--manifest", action="store_true", help="print the name map")
     sp.add_argument("--raw", action="store_true", help="full quoted names, no aliases")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_encode)
 
-    sp = sub.add_parser("bisim", help="bounded barbed bisimulation check")
+    sp = command("bisim", _cmd_bisim, "bounded barbed bisimulation check")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("--calculus", choices=("rho", "pi"), default="rho")
+    sp.add_argument("--calculus", choices=tuple(_CALCULI), default="rho")
     sp.add_argument("--weak", action="store_true")
     sp.add_argument("--restrict", help="comma-separated names to observe")
-    sp.add_argument("--json", action="store_true")
     _add_bounds(sp, 2000, 200)
-    sp.set_defaults(fn=_cmd_bisim)
 
-    sp = sub.add_parser("diverge", help="bounded divergence analysis")
+    sp = command("diverge", _cmd_diverge, "bounded divergence analysis")
     sp.add_argument("term")
-    sp.add_argument("--calculus", choices=("rho", "pi"), default="rho")
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--calculus", choices=tuple(_CALCULI), default="rho")
     _add_bounds(sp, 400, 120)
-    sp.set_defaults(fn=_cmd_diverge)
 
-    sp = sub.add_parser("repro", help="run a packaged experiment")
+    sp = command("repro", _cmd_repro, "run a packaged experiment")
     sp.add_argument("experiment", choices=("cex1", "cex2", "separation"))
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_repro)
 
-    sp = sub.add_parser("criteria", help="randomized behavioural criteria suite")
+    sp = command("criteria", _cmd_criteria, "randomized behavioural criteria suite")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--count", type=int, default=50)
     sp.add_argument("--size", type=int, default=10)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_criteria)
 
     return ap
 

@@ -321,13 +321,8 @@ def translate_ns(
         )
     if isinstance(term, PPar):
         kids = term.children
-        if not kids:
-            return nil()
-        if len(kids) == 1:
-            return translate_ns(kids[0], n, v, policy, derivations, _path)
         left = translate_ns(kids[0], lincr(n), v, policy, derivations, _path + ("L",))
-        right_term = kids[1] if len(kids) == 2 else ppar(*kids[1:])
-        right = translate_ns(right_term, rincr(n), v, policy, derivations, _path + ("R",))
+        right = translate_ns(ppar(*kids[1:]), rincr(n), v, policy, derivations, _path + ("R",))
         return par(left, right)
     if isinstance(term, PNew):
         _need_atoms(term.binder)
@@ -397,13 +392,8 @@ def translate_mr(
         )
     if isinstance(term, PPar):
         kids = term.children
-        if not kids:
-            return nil()
-        if len(kids) == 1:
-            return translate_mr(kids[0], n, p, policy)
         left = translate_mr(kids[0], lincr(n), lincr(p), policy)
-        right_term = kids[1] if len(kids) == 2 else ppar(*kids[1:])
-        right = translate_mr(right_term, rincr(n), rincr(p), policy)
+        right = translate_mr(ppar(*kids[1:]), rincr(n), rincr(p), policy)
         return par(left, right)
     if isinstance(term, PNew):
         _need_atoms(term.binder)

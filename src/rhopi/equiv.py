@@ -14,7 +14,10 @@ state of another without exploring either again.  The rho_/pi_ entry points
 take terms: they short-circuit identical canonical roots to Bisimilar and
 otherwise explore both graphs, sharing one body with the calculus'
 canonical form, step and barbs plugged in.  ``weak_observations`` gives
-each state of an explored graph its weak barbs.  The rho_/pi_ bisim checks
+each state of an explored graph its weak barbs, and ``graph_barbs`` the
+union over a whole graph; ``rho_weak_barb_set`` / ``pi_weak_barb_set``
+explore a term and return that union with the budget that cut the
+exploration off (``None`` when it completed).  The rho_/pi_ bisim checks
 keep the two graphs of their last call, so a check of the same terms at the
 same budget run next (the weak check after the strong one) explores neither
 again; ``rhopi.clear_caches()`` drops them.
@@ -73,6 +76,7 @@ __all__ = [
     "rho_graph_divergence",
     "pi_divergence",
     "weak_observations",
+    "graph_barbs",
     "rho_weak_barb_set",
     "pi_weak_barb_set",
 ]
@@ -207,8 +211,7 @@ def barbed_bisim(
             if b1 != b2:
                 witness = {"reason": "barb", "only": _barb_diff(b1, b2)}
         else:
-            obs1 = frozenset().union(*map(barb_fn, g1.states))
-            obs2 = frozenset().union(*map(barb_fn, g2.states))
+            obs1, obs2 = graph_barbs(g1, barb_fn), graph_barbs(g2, barb_fn)
             if not g1.truncated and obs2 - obs1:
                 witness = {"reason": "barb", "only": ("right", sorted(obs2 - obs1, key=repr))}
             elif not g2.truncated and obs1 - obs2:
@@ -397,13 +400,15 @@ def _observe(states: list, edges: list, barb_fn: Callable, sccs: tuple) -> list:
     return [comp_obs[c] for c in comp_of]
 
 
+def graph_barbs(g: Lts, barb_fn: Callable) -> frozenset:
+    """The union of barb_fn over every state of an explored graph."""
+    return frozenset().union(*map(barb_fn, g.states))
+
+
 def _weak_barb_set(canon, step_fn, barbs, t, subjects, max_states, max_depth) -> tuple:
     allowed = None if subjects is None else list(subjects)
     g = explore(canon(t), step_fn, max_states=max_states, max_depth=max_depth)
-    acc: frozenset = frozenset()
-    for s in g.states:
-        acc |= barbs(s, allowed)
-    return acc, g.truncated
+    return graph_barbs(g, lambda s: barbs(s, allowed)), g.truncated_reason
 
 
 def rho_weak_barb_set(
@@ -413,7 +418,8 @@ def rho_weak_barb_set(
     max_depth: int = 200,
 ) -> tuple:
     """All barbs observable from p or any reduct (restricted to subjects if
-    given), plus whether the exploration was cut off."""
+    given), plus the budget that cut the exploration off (``"max_states"``
+    or ``"max_depth"``; ``None`` when it completed)."""
     return _weak_barb_set(canon_proc, rho_step, rho_barbs, p, subjects, max_states, max_depth)
 
 

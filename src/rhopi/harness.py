@@ -47,9 +47,12 @@ from .equiv import (
     DivergenceVerdict,
     barbed_bisim,
     bisim_blocks,
+    graph_barbs,
     graph_divergence,
     pi_barbed_bisim,
+    pi_weak_barb_set,
     rho_graph_divergence,
+    rho_weak_barb_set,
     weak_observations,
 )
 from .lts import BarbSearch, Verdict, explore, weak_barb_search
@@ -272,17 +275,13 @@ def _objects_on(state, subject) -> list:
     return out
 
 
-def _inclusion_verdict(sub: frozenset, sub_trunc: bool, sup: frozenset, sup_trunc: bool) -> str:
+def _inclusion_verdict(sub: frozenset, sub_cut, sup: frozenset, sup_cut) -> str:
     """Verdict for a claim ``sub ⊆ sup`` when either set may be a truncated
-    (lower-bound) observation."""
+    (lower-bound) observation: each cut is the budget that cut its set off,
+    or None."""
     if not (sub <= sup):
-        return UNKNOWN if sup_trunc else FAIL
-    return UNKNOWN if sub_trunc else PASS
-
-
-def _all_barbs(g, barb_fn) -> frozenset:
-    """The union of barb_fn over every state of an explored graph."""
-    return frozenset().union(*map(barb_fn, g.states))
+        return UNKNOWN if sup_cut else FAIL
+    return UNKNOWN if sub_cut else PASS
 
 
 def _flag_search(root, step_fn, barbs_fn, subject, max_states: int, max_depth: int) -> BarbSearch:
@@ -454,7 +453,7 @@ def repro_cex1(
 
     # (iii) no restricted barb separates the two encodings within bounds
     subjects = [phi_u, phi_x, phi_o]
-    w1, w2 = (_all_barbs(g, lambda s: rho_barbs(s, subjects)) for g in graphs.values())
+    w1, w2 = (graph_barbs(g, lambda s: rho_barbs(s, subjects)) for g in graphs.values())
     checks.append(
         Check(
             "encoded side: restricted weak barbs coincide within bounds",
@@ -834,26 +833,24 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
         else:
             leaves.append(x)
     phi = b["phi"]
-    subjects = b["subjects"]
     # each part's weak barbs, observed separately: component interaction is
     # out of view, which is what makes them compare cleanly against the
     # source's own barbs
-    graphs = [
-        explore(
+    weak_sets = [
+        rho_weak_barb_set(
             encode_ns(leaf, policy=b["pol"], params=b["params"]).state,
-            rho_step,
+            b["subjects"],
             max_states=bounds["max_states"],
             max_depth=bounds["max_depth"],
         )
         for leaf in leaves
     ]
-    weak_sets = [_all_barbs(g, lambda s: rho_barbs(s, subjects)) for g in graphs]
-    cut = next((g.truncated_reason for g in graphs if g.truncated), None)
+    cut = next((r for _, r in weak_sets if r), None)
     verdicts = []
     evidence = {}
 
     for d, a in pi_barbs(b["canon"], b["fn"]):
-        if any((d, phi[a]) in wset for wset in weak_sets):
+        if any((d, phi[a]) in wset for wset, _ in weak_sets):
             verdicts.append(PASS)
         elif cut:
             verdicts.append(UNKNOWN)
@@ -862,17 +859,17 @@ def _prop4_observational_correspondence(b: dict, bounds: dict) -> tuple:
             verdicts.append(FAIL)
             evidence.setdefault("missing_barb", f"{d} {a}")
 
-    for leaf, g, wset in zip(leaves, graphs, weak_sets):
-        g_pi = explore(
-            pi_canon(leaf),
-            pi_step,
+    for leaf, (wset, rho_cut) in zip(leaves, weak_sets):
+        pw, pi_cut = pi_weak_barb_set(
+            leaf,
+            b["fn"],
             max_states=bounds["pi_max_states"],
             max_depth=bounds["pi_max_depth"],
         )
-        pw = _map_pi_barbs(_all_barbs(g_pi, lambda s: pi_barbs(s, b["fn"])), phi)
-        v = _inclusion_verdict(wset, g.truncated, pw, g_pi.truncated)
+        pw = _map_pi_barbs(pw, phi)
+        v = _inclusion_verdict(wset, rho_cut, pw, pi_cut)
         if v == UNKNOWN:
-            budget = g.truncated_reason if wset <= pw else "pi_" + g_pi.truncated_reason
+            budget = rho_cut if wset <= pw else "pi_" + pi_cut
             evidence.setdefault("inclusion_budget", budget)
         elif v == FAIL:
             extra = wset - pw

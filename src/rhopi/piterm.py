@@ -705,40 +705,19 @@ def _child_barbs(child: PiTerm) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _display_names(t: PiTerm) -> dict:
-    """Stable display identifiers for marker binders, avoiding free atoms."""
-    free = pi_free_names(t) if not isinstance(t, PiMarker) else frozenset()
-    out: dict = {}
-
-    def pick(i: int) -> str:
-        base = f"u{i}"
-        while base in free:
-            base += "_"
-        return base
-
-    def walk(x: PiTerm) -> None:
-        if isinstance(x, (PIn, PNew)):
-            if isinstance(x.binder, PiMarker) and x.binder.index not in out:
-                out[x.binder.index] = pick(x.binder.index)
-            walk(x.body)
-        elif isinstance(x, (PRepl,)):
-            walk(x.body)
-        elif isinstance(x, PPar):
-            for ch in x.children:
-                walk(ch)
-
-    walk(t)
-    return out
-
-
 def show_pi(t: PiTerm) -> str:
-    """Concrete syntax; parses back to a congruent term."""
-    names = _display_names(t)
+    """Concrete syntax; parses back to a congruent term.  A marker (a
+    canonical binder) of index i shows as ``u<i>``, with ``_`` appended
+    until the name is not free in t."""
+    free = pi_free_names(t)
 
     def nm(n: PiName) -> str:
-        if isinstance(n, PiMarker):
-            return names.get(n.index, f"u{n.index}")
-        return n
+        if not isinstance(n, PiMarker):
+            return n
+        shown = f"u{n.index}"
+        while shown in free:
+            shown += "_"
+        return shown
 
     def atom(x: PiTerm) -> str:
         s = go(x)
@@ -755,14 +734,12 @@ def show_pi(t: PiTerm) -> str:
             body = go(x.body)
             if isinstance(x.body, PPar):
                 body = f"({body})"
-            bname = nm(x.binder) if isinstance(x.binder, PiMarker) else x.binder
-            return f"{nm(x.subject)}?({bname}).{body}"
+            return f"{nm(x.subject)}?({nm(x.binder)}).{body}"
         if isinstance(x, PNew):
-            bname = nm(x.binder) if isinstance(x.binder, PiMarker) else x.binder
             body = go(x.body)
             if isinstance(x.body, PPar):
                 body = f"({body})"
-            return f"new {bname}.{body}"
+            return f"new {nm(x.binder)}.{body}"
         if isinstance(x, PRepl):
             return f"!{atom(x.body)}"
         return " | ".join(go_child(c) for c in x.children)

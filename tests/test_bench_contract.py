@@ -4,12 +4,16 @@
 tables by name; a metric whose functions or tables are all gone is dropped
 from the traced output without an error.  These tests read the tracing
 module and ``BENCHMARK.json`` (never editing either) and fail when a rename
-or deletion in rhopi would make a declared per-layer metric disappear.
+or deletion in rhopi would make a declared per-layer metric disappear, or
+when a traced function is no longer called through the module attribute
+that tracing rebinds.
 """
 
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +71,37 @@ def test_every_declared_per_layer_metric_is_produced():
         and m["name"] not in DERIVED
     ]
     assert unknown == []
+
+
+# Run in a fresh interpreter: ``install`` rebinds module attributes for the
+# whole process.
+_TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+import tracing, workloads
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for item in workloads.prepare("criteria", 0)[:1] + workloads.prepare("bisim", 0):
+    item.run()
+print(json.dumps(tracer.per_function()[0]))
+"""
+
+
+def test_traced_paths_are_reached():
+    """A function table built at import on a traced path would hold the
+    untraced functions and hide their calls from every per-layer metric."""
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(ROOT)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout
+    calls = json.loads(out.splitlines()[-1])
+    reached = [
+        "rhopi.equiv.rho_weak_barb_set",
+        "rhopi.equiv.pi_weak_barb_set",
+        "rhopi.piterm.pi_step",
+        "rhopi.rhoreduce.step",
+    ]
+    assert [f for f in reached if not calls.get(f)] == []

@@ -200,6 +200,18 @@ def test_bisim_name_passing_pair(capsys):
     assert out.strip().splitlines()[0] == "bisimilar"
 
 
+@pytest.mark.parametrize("restrict", ["u)", "U", "u v"])
+def test_bisim_refuses_a_malformed_name_passing_restriction(capsys, restrict):
+    argv = ("bisim", "u!a", "v!a", "--calculus", "pi", "--restrict")
+    code, _, err = run(capsys, *argv, restrict)
+    assert code == 2
+    assert err.startswith("error: line 1")
+    # the well-formed name still separates the two terms
+    code, out, _ = run(capsys, *argv, "u")
+    assert code == 1
+    assert out.startswith("not-bisimilar")
+
+
 def test_diverge_detects_a_cycle(capsys):
     rearm = "@0?(a).(*a | @0!(*a))"
     code, out, _ = run(capsys, "diverge", f"{rearm} | @0!({rearm})")

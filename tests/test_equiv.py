@@ -226,13 +226,38 @@ def test_bisim_blocks_match_states_across_graphs():
 def test_weak_barb_sets_respect_restriction():
     q2 = par(inp(y, a, lift(x, nil())), lift(y, nil()))
     s1, truncated1 = rho_weak_barb_set(q2, [x])
-    assert truncated1 is False
+    assert truncated1 is None
     assert s1 == frozenset({("out", x)})
 
     left = pnew("z", ppar(pout("z", "a"), pin("z", "y", pout("x", "b"))))
     s2, truncated2 = pi_weak_barb_set(left, ["x", "z"])
-    assert truncated2 is False
+    assert truncated2 is None
     assert s2 == frozenset({("out", "x")})  # the bound z never barbs
+
+
+@pytest.mark.parametrize(
+    "bounds, reason",
+    [({"max_states": 1}, "max_states"), ({"max_depth": 0}, "max_depth"), ({}, None)],
+)
+def test_weak_barb_sets_name_the_budget_that_cut_them(bounds, reason):
+    # one rho communication, and a pi term that never stops unfolding
+    p = par(lift(NULL_NAME, nil()), inp(NULL_NAME, a, drop(a)))
+    assert rho_weak_barb_set(p, **bounds)[1] == reason
+    t = prepl(ppar(pout("a", "b"), pin("a", "y", pout("c", "y"))))
+    budget = {"max_states": 50, **bounds}
+    assert pi_weak_barb_set(t, **budget)[1] == (reason or "max_states")
+    # a finite pi graph completes
+    assert pi_weak_barb_set(ppar(pout("a", "b"), pin("a", "y", pnil())), **bounds)[1] == reason
+
+
+def test_graph_barbs_is_the_union_over_states():
+    g = explore(pi_canon(ppar(pout("a", "b"), pin("a", "y", pout("c", "y")))), pi_step)
+    per_state = frozenset()
+    for s in g.states:
+        per_state |= pi_barbs(s)
+    assert len(g.states) > 1
+    assert equiv.graph_barbs(g, pi_barbs) == per_state
+    assert pi_weak_barb_set(g.states[0]) == (per_state, None)
 
 
 # ---------------------------------------------------------------------------
