@@ -55,7 +55,7 @@ from .equiv import (
 )
 from .harness import Report, check_criteria, repro_cex1, repro_cex2, repro_separation_witness, BoundsTooSmall
 from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES
-from .piterm import PiTerm, show_pi, pin, pnew, pnil, pout, ppar, prepl
+from .piterm import PiTerm, pi_free_names, show_pi, pin, pnew, pnil, pout, ppar, prepl
 from .rhoreduce import barbs as rho_barbs
 from .rhoreduce import step as rho_step
 from .rhoterm import (
@@ -67,6 +67,7 @@ from .rhoterm import (
     canon_name,
     canon_proc,
     drop,
+    free_names,
     inp,
     lift,
     marker,
@@ -448,17 +449,21 @@ class _Calculus:
 
     parse: Callable
     show: Callable
-    parse_subject: Callable  # a barb subject, as --restrict names it
+    parse_subject: Callable  # a canonical barb subject, as --restrict names it
     show_subject: Callable
+    free_names: Callable
     bisim: Callable
     diverge: Callable
+    mints_names: bool  # a reduct can barb on a name free in neither term
 
 
 _CALCULI = {
     "rho": _Calculus(
-        parse_rho, show_proc, parse_rho_name, show_name, rho_barbed_bisim, divergence_probe
+        parse_rho, show_proc, parse_rho_name, show_name, free_names, rho_barbed_bisim, divergence_probe, True
     ),
-    "pi": _Calculus(parse_pi, show_pi, _parse_pi_name, str, pi_barbed_bisim, pi_divergence),
+    "pi": _Calculus(
+        parse_pi, show_pi, _parse_pi_name, str, pi_free_names, pi_barbed_bisim, pi_divergence, False
+    ),
 }
 
 
@@ -470,8 +475,11 @@ def _read_term_arg(arg: str, default_calculus: str) -> tuple:
     return arg, default_calculus
 
 
-def _split_restrict(spec: str) -> list:
-    """Split a comma-separated name list at top-level commas only."""
+def _parse_restrict(spec: Optional[str], parse: Callable) -> Optional[list]:
+    """The names of a comma-separated list, split at top-level commas only
+    and each parsed with parse; None for no list."""
+    if not spec:
+        return None
     out, depth, cur = [], 0, []
     for ch in spec:
         if ch == "(":
@@ -485,7 +493,7 @@ def _split_restrict(spec: str) -> list:
             cur.append(ch)
     if cur:
         out.append("".join(cur))
-    return [s.strip() for s in out if s.strip()]
+    return [parse(s.strip()) for s in out if s.strip()]
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -595,9 +603,7 @@ def _cmd_trace(args) -> int:
 def _cmd_barbs(args) -> int:
     text, _ = _read_term_arg(args.term, "rho")
     p = parse_rho(text)
-    restrict = None
-    if args.restrict:
-        restrict = [parse_rho_name(s) for s in _split_restrict(args.restrict)]
+    restrict = _parse_restrict(args.restrict, parse_rho_name)
     got = sorted(f"{d} {show_name(x)}" for d, x in rho_barbs(p, restrict))
     _emit(args, {"barbs": got}, got)
     return 0
@@ -638,12 +644,18 @@ def _cmd_bisim(args) -> int:
     if calc_a != calc_b:
         return _error(args, "cannot compare terms from different calculi", 2)
     calc = _CALCULI[calc_a]
-    restrict = None
-    if args.restrict:
-        restrict = [calc.parse_subject(s) for s in _split_restrict(args.restrict)]
+    a, b = calc.parse(text_a), calc.parse(text_b)
+    restrict = _parse_restrict(args.restrict, calc.parse_subject)
+    if restrict:
+        free = calc.free_names(a) | calc.free_names(b)
+        for x in (x for x in restrict if x not in free):
+            msg = f"--restrict name {calc.show_subject(x)} is free in neither term"
+            if not calc.mints_names:  # then no reduct can ever barb on x
+                return _error(args, msg, 2)
+            print(f"warning: {msg}; only a name minted by reduction can barb on it", file=sys.stderr)
     rep = calc.bisim(
-        calc.parse(text_a),
-        calc.parse(text_b),
+        a,
+        b,
         weak=args.weak,
         restrict=restrict,
         max_states=args.max_states,

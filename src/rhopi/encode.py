@@ -228,14 +228,15 @@ def derivable(sources: Iterable[RhoName], target: RhoName) -> bool:
     Sources themselves are derivable.  Composition requires both component
     positions to be derivable."""
     srcs = {canon_name(s) for s in sources}
-
-    def go(c: RhoName) -> bool:
-        if c in srcs:
-            return True
-        got = peel(c)
-        return got is not None and all(go(part) for part in got[1])
-
-    return go(canon_name(target))
+    todo = [canon_name(target)]
+    while todo:
+        c = todo.pop()
+        if c not in srcs:
+            got = peel(c)
+            if got is None:
+                return False
+            todo.extend(got[1])
+    return True
 
 
 def make_encoding_params(policy: RenamingPolicy, others: Iterable[RhoName] = ()) -> EncodingParams:

@@ -329,44 +329,34 @@ def _scope_split(binders: list, items: list) -> PiTerm:
     of set-maximal reach form its outer restriction block (narrower ones
     recurse inside).  The result is the same for any input scope order."""
     fns = [_fn_named(it) for it in items]
-    usage = {}
+    reach = {}
     for b in binders:
-        reach = frozenset(i for i, f in enumerate(fns) if b in f)
-        if reach:
-            usage[b] = reach
+        at = frozenset(i for i, f in enumerate(fns) if b in f)
+        if at:
+            reach[b] = at
+    return ppar(*_scope_parts(reach, range(len(items)), items))
 
-    def build(bs: list, idxs: list) -> list:
-        idx_set = set(idxs)
-        ub = {b: usage[b] & idx_set for b in bs}
-        ub = {b: u for b, u in ub.items() if u}
-        covered: set = set()
-        for u in ub.values():
-            covered |= u
-        parts = [items[i] for i in idxs if i not in covered]
-        unseen = set(covered)
-        while unseen:
-            comp = {min(unseen)}
-            while True:
-                grown = set(comp)
-                for u in ub.values():
-                    if u & comp:
-                        grown |= u
-                if grown == comp:
-                    break
-                comp = grown
-            unseen -= comp
-            comp_bs = [b for b in ub if ub[b] & comp]
-            maximal = [
-                b for b in comp_bs if not any(ub[b] < ub[c] for c in comp_bs)
-            ]
-            inner_bs = [b for b in comp_bs if b not in maximal]
-            node = ppar(*build(inner_bs, sorted(comp)))
-            for b in reversed(maximal):
-                node = pnew(b, node)
-            parts.append(node)
-        return parts
 
-    return ppar(*build(list(usage), list(range(len(items)))))
+def _scope_parts(reach: dict, idxs: Iterable[int], items: list) -> list:
+    """The parts of ``_scope_split`` for the items at idxs under the binders
+    that reach maps to the indices of the items they occur in, all in idxs."""
+    unseen = set().union(*reach.values())
+    parts = [items[i] for i in idxs if i not in unseen]
+    while unseen:
+        # the connected group of the smallest unseen item: grow to a fixpoint
+        comp, grown = set(), {min(unseen)}
+        while grown != comp:
+            comp = grown
+            grown = comp.union(*(u for u in reach.values() if u & comp))
+        unseen -= comp
+        comp_bs = [b for b, u in reach.items() if u & comp]
+        maximal = [b for b in comp_bs if not any(reach[b] < reach[c] for c in comp_bs)]
+        inner = {b: reach[b] for b in comp_bs if b not in maximal}
+        node = ppar(*_scope_parts(inner, sorted(comp), items))
+        for b in reversed(maximal):
+            node = pnew(b, node)
+        parts.append(node)
+    return parts
 
 
 _MAX_BLOCK_PERMS = 6  # restriction blocks larger than this keep written order
@@ -681,8 +671,9 @@ def _child_barbs(child: PiTerm) -> frozenset:
     if found is not None:
         return found
     acc: set = set()
-
-    def walk(x: PiTerm) -> None:
+    todo = [child]
+    while todo:
+        x = todo.pop()
         if isinstance(x, POut):
             if isinstance(x.subject, str):
                 acc.add(("out", x.subject))
@@ -690,12 +681,9 @@ def _child_barbs(child: PiTerm) -> frozenset:
             if isinstance(x.subject, str):
                 acc.add(("in", x.subject))
         elif isinstance(x, (PNew, PRepl)):
-            walk(x.body)
+            todo.append(x.body)
         elif isinstance(x, PPar):
-            for ch in x.children:
-                walk(ch)
-
-    walk(child)
+            todo.extend(x.children)
     found = _BARBS[child] = frozenset(acc)
     return found
 

@@ -18,12 +18,12 @@ computed once per pair and memoised.  A successor is then the rest of the
 state plus those components, sorted and interned as a canonical Par; it is
 never canonicalized again.  The sort compares ranks, not keys: every
 component a successor is built from gets a float rank, strictly increasing
-with its key, the first time it is seen, so ordering by rank is canonical
-order without comparing nested key tuples.  Unlike a pure memo table, the
-rank table is rewritten in place, so reduction must not run in several
-threads at once.  Canonical order puts equal components next to each
-other, so a redex whose input or lift is the same node as its left
-neighbour repeats an earlier (input, lift) pair and is skipped.
+with its key, the first time a sort meets it unranked, so ordering by rank
+is canonical order without comparing nested key tuples.  Unlike a pure memo
+table, the rank table is rewritten in place, so reduction must not run in
+several threads at once.  Canonical order puts equal components next to
+each other, so ``step`` leaves out of its redex search every component that
+is the same node as its left neighbour: its pairs repeat the neighbour's.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
@@ -89,20 +89,24 @@ class Redex(NamedTuple):
     subject: RhoName
 
 
-def _pairs(comps: tuple):
+def _pairs(comps: tuple, distinct: bool = False) -> list:
     """(i, j) for every input comps[i] and lift comps[j] on the same
-    canonical subject, in (input position, lift position) order."""
+    canonical subject, in (input position, lift position) order.  With
+    distinct, a component that is the same node as its left neighbour is
+    left out: its pairs repeat the neighbour's."""
     ins = []
     lifts: dict = {}
+    prev = None
     for k, c in enumerate(comps):
+        if c is prev and distinct:
+            continue
+        prev = c
         if isinstance(c, Input):
             ins.append(k)
         elif isinstance(c, Lift):
             lifts.setdefault(c.subject, []).append(k)
-    for i in ins:
-        # canonical names: identity is equivalence
-        for j in lifts.get(comps[i].subject, ()):
-            yield i, j
+    # canonical names: identity is equivalence
+    return [(i, j) for i in ins for j in lifts.get(comps[i].subject, ())]
 
 
 def redexes(p: RhoProc) -> list:
@@ -126,69 +130,68 @@ _CONTINUATION: dict = {}
 DERIVED_CACHES = {"continuation": _CONTINUATION, "rank": _RANK, "rank_order": _ORDER}
 
 
-def _place(c: RhoProc) -> None:
-    """Rank c at the midpoint of its neighbours' ranks in key order (one
-    above the last, or half the first); renumber every rank once a gap is
-    spent."""
-    at = bisect.bisect_left(_ORDER, c.key, key=_BY_KEY)
-    lo = _RANK[_ORDER[at - 1]] if at else 0.0
-    hi = _RANK[_ORDER[at]] if at < len(_ORDER) else lo + 2.0
-    rank = (lo + hi) / 2
-    _ORDER.insert(at, c)
-    if lo < rank < hi:
-        _RANK[c] = rank
-    else:
-        _RANK.update((d, float(r)) for r, d in enumerate(_ORDER, 1))
-
-
-def _ranked(comps: tuple) -> tuple:
-    """comps, once every one of them has a rank."""
+def _rank(comps: Iterable[RhoProc]) -> None:
+    """Rank every component of comps that has no rank yet, each at the
+    midpoint of its neighbours' ranks in key order (one above the last, or
+    half the first); renumber every rank once a gap is spent."""
     for c in comps:
-        if c not in _RANK:
-            _place(c)
-    return comps
+        if c not in _RANK:  # checked per component: comps may repeat one
+            at = bisect.bisect_left(_ORDER, c.key, key=_BY_KEY)
+            lo = _RANK[_ORDER[at - 1]] if at else 0.0
+            hi = _RANK[_ORDER[at]] if at < len(_ORDER) else lo + 2.0
+            rank = (lo + hi) / 2
+            _ORDER.insert(at, c)
+            if lo < rank < hi:
+                _RANK[c] = rank
+            else:
+                _RANK.update((d, float(r)) for r, d in enumerate(_ORDER, 1))
 
 
-def _reduct(comps: tuple, i: int, j: int) -> RhoProc:
-    """The canonical reduct of the state whose canonical components are comps,
-    all ranked, by the communication of input comps[i] with lift comps[j]."""
-    inode = comps[i]
-    onode = comps[j]
-    pair = (inode, onode)
-    continuation = _CONTINUATION.get(pair)
-    if continuation is None:
-        # the payload quote is passed uncollapsed: name positions take its
-        # canonical name, a dropped binder becomes the lifted body as written
-        q = subst_marker(inode.body, quote(onode.body), inode.binder.index)
-        continuation = _CONTINUATION[pair] = _ranked(_parts(q))
-    lo, hi = (i, j) if i < j else (j, i)
-    kids = comps[:lo] + comps[lo + 1 : hi] + comps[hi + 1 :] + continuation
-    # ranks are strictly monotone in the key: this is canonical order
-    return canon_sorted_par(sorted(kids, key=_RANK.__getitem__))
-
-
-def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
-    """The canonical reduct of p by the given redex."""
-    return _reduct(_ranked(components(p)), redex.input_index, redex.lift_index)
-
-
-def step(p: RhoProc) -> list:
-    """Canonical one-step reducts of p, deduplicated, in redex order.  A redex
-    on the same (input, lift) pair as an earlier one is skipped: it can only
-    give the same reduct.  Equal components are adjacent in canonical order,
-    so the pair is a repeat exactly when the input or the lift is its left
-    neighbour."""
-    comps = _ranked(components(p))
+def _successors(comps: tuple, pairs: list) -> list:
+    """The canonical reducts of the state whose canonical components are
+    comps by the communication of input comps[i] with lift comps[j], for
+    each (i, j) in pairs, deduplicated, in that order: the one place a
+    successor is built."""
     out: list = []
     seen = set()
-    for i, j in _pairs(comps):
-        if (i and comps[i - 1] is comps[i]) or (j and comps[j - 1] is comps[j]):
-            continue
-        q = _reduct(comps, i, j)
+    rank = _RANK.__getitem__
+    for i, j in pairs:
+        pair = inode, onode = comps[i], comps[j]
+        continuation = _CONTINUATION.get(pair)
+        if continuation is None:
+            # the payload quote is passed uncollapsed: name positions take its
+            # canonical name, a dropped binder becomes the lifted body as written
+            q = subst_marker(inode.body, quote(onode.body), inode.binder.index)
+            continuation = _CONTINUATION[pair] = _parts(q)
+        kids = list(comps)
+        lo, hi = (i, j) if i < j else (j, i)
+        del kids[hi], kids[lo]
+        kids += continuation
+        # ranks are strictly monotone in the key: this is canonical order
+        try:
+            kids.sort(key=rank)
+        except KeyError:
+            _rank(kids)
+            kids.sort(key=rank)
+        q = canon_sorted_par(kids)
         if q not in seen:
             seen.add(q)
             out.append(q)
     return out
+
+
+def apply_redex(p: RhoProc, redex: Redex) -> RhoProc:
+    """The canonical reduct of p by the given redex."""
+    return _successors(components(p), [(redex.input_index, redex.lift_index)])[0]
+
+
+def step(p: RhoProc) -> list:
+    """Canonical one-step reducts of p, deduplicated, in redex order.  A
+    component that is the same node as its left neighbour is left out of
+    the redex search: its pairs repeat the neighbour's, so their reducts
+    are already listed.  A component is ranked when a sort first meets it."""
+    comps = components(p)
+    return _successors(comps, _pairs(comps, distinct=True))
 
 
 def barbs(p: RhoProc, restrict: Optional[Iterable[RhoName]] = None) -> frozenset:

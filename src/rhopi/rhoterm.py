@@ -580,19 +580,15 @@ def ns_member(root: RhoName, scheme: NamespaceScheme, x: RhoName) -> bool:
     scheme both recursive positions must again be members, mirroring the
     template grammar whose every hole is filled from the same root."""
     croot = canon_name(root)
-
-    def member(n: RhoName) -> bool:
-        # follow the last position iteratively, recurse into the others
-        while n is not croot:
+    todo = [canon_name(x)]
+    while todo:
+        n = todo.pop()
+        if n is not croot:
             got = peel(n)
             if got is None or got[0] is not scheme:
                 return False
-            *others, n = got[1]
-            if not all(member(m) for m in others):
-                return False
-        return True
-
-    return member(canon_name(x))
+            todo.extend(got[1])
+    return True
 
 
 def gen_fresh(avoid: Iterable[RhoName]) -> RhoName:

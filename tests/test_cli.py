@@ -212,6 +212,32 @@ def test_bisim_refuses_a_malformed_name_passing_restriction(capsys, restrict):
     assert out.startswith("not-bisimilar")
 
 
+def test_bisim_refuses_a_name_passing_restriction_free_in_neither_term(capsys):
+    # a typo of u: name-passing reduction never adds a free name, so
+    # observing only uu would make any two terms bisimilar
+    argv = ("bisim", "u!a", "v!a", "--calculus", "pi", "--restrict")
+    code, out, err = run(capsys, *argv, "uu")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --restrict name uu is free in neither term")
+    code, out, _ = run(capsys, *argv, "uu", "--json")
+    assert code == 2
+    assert "free in neither term" in json.loads(out)["error"]
+
+
+def test_bisim_warns_of_a_reflective_restriction_free_in_neither_term(capsys):
+    # the separation witness: its reduct barbs on the name u minted from the
+    # payload, which is free in neither term; the warning keeps the verdict
+    term = "@(@0!(0) | @(@0!(0))!(0))!(*@0 | *@(@0!(0))) | @(@0!(0) | @(@0!(0))!(0))?(y0).y0!(0)"
+    u = "@(*@0 | *@(@0!(0)))"
+    code, out, err = run(capsys, "bisim", term, "0", "--weak", "--restrict", u)
+    assert code == 1
+    assert out.startswith("not-bisimilar")
+    assert err.startswith(f"warning: --restrict name {u} is free in neither term")
+    code, out, err = run(capsys, "bisim", term, term, "--restrict", "@0")
+    assert (code, out.strip(), err) == (0, "bisimilar", "")
+
+
 def test_diverge_detects_a_cycle(capsys):
     rearm = "@0?(a).(*a | @0!(*a))"
     code, out, _ = run(capsys, "diverge", f"{rearm} | @0!({rearm})")

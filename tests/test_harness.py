@@ -2,6 +2,7 @@
 reproductions, bound handling, report serialization, and determinism of the
 behavioural-criteria suite."""
 
+import gc
 import json
 import os
 import random
@@ -28,7 +29,9 @@ from rhopi.harness import (
     repro_cex2,
     repro_separation_witness,
 )
-from rhopi.piterm import PIn, PNew, PPar, PRepl, pin, pnew, pout, ppar, prepl, show_pi
+from rhopi.encode import derivable
+from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_barbs, pi_canon, pin, pnew, pout, ppar, prepl, show_pi
+from rhopi.rhoterm import NULL_NAME, gen_fresh, lincr, ncomp
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,32 @@ def test_clearing_derived_caches_leaves_reports_unchanged():
     rhopi.clear_caches()
     cold.append(relayed())
     assert cold == warm
+
+
+def _fresh_term():
+    return pnew("z", ppar(pout("z", "gc_a"), pin("gc_a", "y", pnew("w", pout("y", "w"))), pout("gc_b", "z")))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derivable([NULL_NAME, gen_fresh([NULL_NAME])], ncomp(lincr(NULL_NAME), gen_fresh([NULL_NAME]))),
+        lambda: pi_barbs(_fresh_term()),
+        lambda: pi_canon(_fresh_term()),
+    ],
+    ids=["derivable", "pi_barbs", "pi_canon"],
+)
+def test_criteria_helpers_leave_no_cyclic_garbage(call):
+    # what a call leaves behind must be freed by reference counting alone:
+    # a cycle waits for the collector, once per criteria term
+    rhopi.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_too_small_bounds_raise_instead_of_failing_quietly():

@@ -11,7 +11,7 @@ from rhopi.lts import explore
 from rhopi.rhoreduce import (
     _ORDER,
     _RANK,
-    _ranked,
+    _rank,
     apply_redex,
     barbs,
     components,
@@ -194,8 +194,9 @@ def assert_step_matches_reference(p):
     rhopi.clear_caches()
     for q in got:
         assert canon_proc(q) is q
-    for r in redexes(p):
-        assert apply_redex(p, r) in got
+    # step skips a component equal to its left neighbour; that must give
+    # what skipping every repeated (input, lift) pair gives
+    assert got == list(dict.fromkeys(apply_redex(p, r) for r in redexes(p)))
 
 
 HAND_BUILT = {
@@ -253,6 +254,30 @@ def test_step_matches_whole_state_canonicalization(label):
     assert_step_matches_reference(p)
     for q in step(p):  # and one step further
         assert_step_matches_reference(q)
+
+
+def cex1_roots(monkeypatch) -> list:
+    """The roots of the reflective graphs cex1 explores."""
+    roots = []
+
+    def recording_explore(root, step_fn, **bounds):
+        if step_fn is step:
+            roots.append(root)
+        return explore(root, step_fn, **bounds)
+
+    monkeypatch.setattr(harness, "explore", recording_explore)
+    harness.repro_cex1()
+    return roots
+
+
+def test_step_from_cold_caches_ranks_components_on_first_use(monkeypatch):
+    roots = cex1_roots(monkeypatch)
+    assert len(roots) == 2
+    for p in [canon_proc(HAND_BUILT[label]) for label in sorted(HAND_BUILT)] + roots:
+        assert redexes(p)
+        rhopi.clear_caches()
+        assert not _RANK
+        assert_step_matches_reference(p)
 
 
 def test_equal_neighbours_repeat_a_pair_and_are_skipped():
@@ -339,13 +364,13 @@ def test_rank_table_is_in_key_order_after_the_repro_experiments():
 def test_a_spent_rank_gap_renumbers_in_key_order():
     rhopi.clear_caches()
     top = drop(marker(10**6))
-    _ranked((top,))
+    _rank((top,))
     first = _RANK[top]
     # each lands just below top, above the one before: the gap under top
     # halves each time until no float fits in it
     below = tuple(drop(marker(k)) for k in range(1, 101))
     for d in below:
-        _ranked((d,))
+        _rank((d,))
     assert _RANK[top] != first  # only a renumbering moves a rank
     assert_rank_table_in_key_order()
     # the continuation, the payload *m150 spliced in for *b, lands in the
