@@ -604,6 +604,10 @@ def _cmd_barbs(args) -> int:
     text, _ = _read_term_arg(args.term, "rho")
     p = parse_rho(text)
     restrict = _parse_restrict(args.restrict, parse_rho_name)
+    free = free_names(p)
+    stray = next((x for x in restrict or () if x not in free), None)
+    if stray is not None:  # a barb's subject stands free at the top level
+        return _error(args, f"--restrict name {show_name(stray)} is not free in the term", 2)
     got = sorted(f"{d} {show_name(x)}" for d, x in rho_barbs(p, restrict))
     _emit(args, {"barbs": got}, got)
     return 0
@@ -768,7 +772,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("barbs", _cmd_barbs, "immediate observables of a process")
     sp.add_argument("term")
-    sp.add_argument("--restrict", help="comma-separated names to observe")
+    sp.add_argument("--restrict", help="comma-separated names to observe, each free in the term")
 
     sp = command("encode", _cmd_encode, "translate a name-passing term")
     sp.add_argument("term")

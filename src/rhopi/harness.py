@@ -28,6 +28,7 @@ Three reproduction reports and a randomized property suite:
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ from .piterm import (
     show_pi,
 )
 from .rhoreduce import barbs as rho_barbs
-from .rhoreduce import components
+from .rhoreduce import components, search_step
 from .rhoreduce import step as rho_step
 from .rhoterm import (
     Lift,
@@ -186,63 +187,60 @@ def random_pi_term(
     couple of "hot" atoms, and one parallel production directly emits a
     send/receive pair on a shared subject.
     """
-    counter = [0]
     hot = tuple(rng.sample(atoms, 2))
-
-    def fresh_binder() -> str:
-        counter[0] += 1
-        return f"p{counter[0] - 1}"
-
-    def go(budget: int, scope: tuple):
-        names = atoms + scope
-
-        def pick() -> str:
-            if rng.random() < 0.6:
-                return rng.choice(hot + scope[-1:])
-            return rng.choice(names)
-
-        options = ["out", "nil"]
-        weights = [4, 1]
-        if budget >= 2:
-            options += ["in", "new"]
-            weights += [4, 2]
-        if budget >= 3:
-            options += ["par", "repl"]
-            weights += [4, 1]
-        if budget >= 4:
-            options += ["redex"]
-            weights += [4]
-        kind = rng.choices(options, weights)[0]
-
-        if kind == "nil":
-            return pnil(), 1
-        if kind == "out":
-            return pout(pick(), pick()), 1
-        if kind == "in":
-            b = fresh_binder()
-            body, c = go(budget - 1, scope + (b,))
-            return pin(pick(), b, body), c + 1
-        if kind == "new":
-            b = fresh_binder()
-            body, c = go(budget - 1, scope + (b,))
-            return pnew(b, body), c + 1
-        if kind == "repl":
-            b = fresh_binder()
-            body, c = go(budget - 2, scope + (b,))
-            return prepl(pin(pick(), b, body)), c + 2
-        if kind == "redex":
-            subj = pick()
-            b = fresh_binder()
-            body, c = go(budget - 3, scope + (b,))
-            return ppar(pout(subj, pick()), pin(subj, b, body)), c + 3
-        # par
-        left_budget = rng.randint(1, budget - 2)
-        lterm, lc = go(left_budget, scope)
-        rterm, rc = go(budget - 1 - lc, scope)
-        return ppar(lterm, rterm), lc + rc + 1
-
-    term, _ = go(max(1, size), ())
+    term, _ = _random_pi(rng, max(1, size), (), atoms, hot, itertools.count())
     return term
+
+
+# nodes each binding production adds around its body
+_BINDING_COST = {"in": 1, "new": 1, "repl": 2, "redex": 3}
+
+
+def _pick(rng: random.Random, hot: tuple, atoms: tuple, scope: tuple) -> str:
+    if rng.random() < 0.6:
+        return rng.choice(hot + scope[-1:])
+    return rng.choice(atoms + scope)
+
+
+def _random_pi(rng: random.Random, budget: int, scope: tuple, atoms: tuple, hot: tuple, binders):
+    """A random term of at most budget nodes under the binders of scope, and
+    its node count; binder i is named ``p<i>`` as binders counts."""
+    options = ["out", "nil"]
+    weights = [4, 1]
+    if budget >= 2:
+        options += ["in", "new"]
+        weights += [4, 2]
+    if budget >= 3:
+        options += ["par", "repl"]
+        weights += [4, 1]
+    if budget >= 4:
+        options += ["redex"]
+        weights += [4]
+    kind = rng.choices(options, weights)[0]
+
+    if kind == "nil":
+        return pnil(), 1
+    if kind == "out":
+        return pout(_pick(rng, hot, atoms, scope), _pick(rng, hot, atoms, scope)), 1
+    if kind == "par":
+        left_budget = rng.randint(1, budget - 2)
+        lterm, lc = _random_pi(rng, left_budget, scope, atoms, hot, binders)
+        rterm, rc = _random_pi(rng, budget - 1 - lc, scope, atoms, hot, binders)
+        return ppar(lterm, rterm), lc + rc + 1
+    if kind == "redex":
+        subj = _pick(rng, hot, atoms, scope)
+    b = f"p{next(binders)}"
+    cost = _BINDING_COST[kind]
+    body, c = _random_pi(rng, budget - cost, scope + (b,), atoms, hot, binders)
+    if kind == "in":
+        term = pin(_pick(rng, hot, atoms, scope), b, body)
+    elif kind == "new":
+        term = pnew(b, body)
+    elif kind == "repl":
+        term = prepl(pin(_pick(rng, hot, atoms, scope), b, body))
+    else:
+        term = ppar(pout(subj, _pick(rng, hot, atoms, scope)), pin(subj, b, body))
+    return term, c + cost
 
 
 @dataclass
@@ -284,12 +282,34 @@ def _inclusion_verdict(sub: frozenset, sub_cut, sup: frozenset, sup_cut) -> str:
     return UNKNOWN if sub_cut else PASS
 
 
-def _flag_search(root, step_fn, barbs_fn, subject, max_states: int, max_depth: int) -> BarbSearch:
-    """Does root, or some reduct of it, output on subject?"""
+def _pi_flag_search(root, subject: str, max_states: int, max_depth: int) -> BarbSearch:
+    """Does the name-passing state root, or some reduct of it, output on
+    subject?"""
     return weak_barb_search(
         root,
-        step_fn,
-        lambda s: ("out", subject) in barbs_fn(s, [subject]),
+        pi_step,
+        lambda s: ("out", subject) in pi_barbs(s, [subject]),
+        max_states=max_states,
+        max_depth=max_depth,
+    )
+
+
+def _lifts_on(state, subject) -> bool:
+    """Has state a top-level lift on the canonical name subject?"""
+    for c in components(state):
+        if isinstance(c, Lift) and c.subject is subject:
+            return True
+    return False
+
+
+def _rho_flag_search(root, subject, max_states: int, max_depth: int) -> BarbSearch:
+    """Does the reflective state root, or some reduct of it, output on
+    subject?  The search skips commuting redexes (``search_step``)."""
+    subject = canon_name(subject)
+    return weak_barb_search(
+        root,
+        search_step(),
+        lambda s: _lifts_on(s, subject),
         max_states=max_states,
         max_depth=max_depth,
     )
@@ -388,7 +408,7 @@ def repro_cex1(
     checks = []
 
     # (i) the sources are distinguished in the name-passing calculus
-    s1 = _flag_search(pi_canon(c1), pi_step, pi_barbs, "x", pi_max_states, pi_max_depth)
+    s1 = _pi_flag_search(pi_canon(c1), "x", pi_max_states, pi_max_depth)
     if s1.verdict is Verdict.UNKNOWN:
         raise BoundsTooSmall("source-side exploration of the fresh-per-round term was cut off")
     checks.append(
@@ -398,7 +418,7 @@ def repro_cex1(
             {"explored": s1.explored, "verdict": s1.verdict.value},
         )
     )
-    s2 = _flag_search(pi_canon(c2), pi_step, pi_barbs, "x", pi_max_states, pi_max_depth)
+    s2 = _pi_flag_search(pi_canon(c2), "x", pi_max_states, pi_max_depth)
     if s2.verdict is not Verdict.YES:
         raise BoundsTooSmall("source-side exploration of the shared-restriction term found no flag")
     checks.append(
@@ -607,8 +627,8 @@ def repro_cex2(
     encc1 = encode_mr(c1, policy=pol2)
     encc2 = encode_mr(c2, policy=pol2)
     phi_x = pol2.name_for("x")
-    f1 = _flag_search(encc1.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
-    f2 = _flag_search(encc2.state, rho_step, rho_barbs, phi_x, search_max_states, search_max_depth)
+    f1 = _rho_flag_search(encc1.state, phi_x, search_max_states, search_max_depth)
+    f2 = _rho_flag_search(encc2.state, phi_x, search_max_states, search_max_depth)
     separated = f1.verdict is not Verdict.YES and f2.verdict is Verdict.YES
     evidence = {
         "fresh_per_round": f1.verdict.value,

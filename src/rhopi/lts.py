@@ -11,7 +11,9 @@ already in the graph are kept (so cycles crossing the frontier are seen) and
 only genuinely new states are dropped, which is the one case information is
 lost.  A search (below) reads no edges: once its graph is truncated, it
 does not expand a state at the depth bound, which admits no new state, and
-leaves it with no edges.
+leaves it with no edges.  A graph's edges are what its step function
+yielded, so a step made for one search (``rhoreduce.search_step``) may
+leave out successors the search provably holds already.
 
 An optional ``stop`` predicate turns the exploration into a search: the
 first state it accepts, tested as the state is dequeued and before it is

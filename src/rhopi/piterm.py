@@ -697,45 +697,39 @@ def show_pi(t: PiTerm) -> str:
     """Concrete syntax; parses back to a congruent term.  A marker (a
     canonical binder) of index i shows as ``u<i>``, with ``_`` appended
     until the name is not free in t."""
-    free = pi_free_names(t)
+    return _show(t, pi_free_names(t))
 
-    def nm(n: PiName) -> str:
-        if not isinstance(n, PiMarker):
-            return n
-        shown = f"u{n.index}"
-        while shown in free:
-            shown += "_"
-        return shown
 
-    def atom(x: PiTerm) -> str:
-        s = go(x)
-        if isinstance(x, (PPar, PNew, PIn)):
-            return f"({s})"
-        return s
+def _show_name(n: PiName, free: frozenset) -> str:
+    if not isinstance(n, PiMarker):
+        return n
+    shown = f"u{n.index}"
+    while shown in free:
+        shown += "_"
+    return shown
 
-    def go(x: PiTerm) -> str:
-        if isinstance(x, PNil):
-            return "0"
-        if isinstance(x, POut):
-            return f"{nm(x.subject)}!{nm(x.obj)}"
-        if isinstance(x, PIn):
-            body = go(x.body)
-            if isinstance(x.body, PPar):
-                body = f"({body})"
-            return f"{nm(x.subject)}?({nm(x.binder)}).{body}"
-        if isinstance(x, PNew):
-            body = go(x.body)
-            if isinstance(x.body, PPar):
-                body = f"({body})"
-            return f"new {nm(x.binder)}.{body}"
-        if isinstance(x, PRepl):
-            return f"!{atom(x.body)}"
-        return " | ".join(go_child(c) for c in x.children)
 
-    def go_child(c: PiTerm) -> str:
-        s = go(c)
-        if isinstance(c, (PNew, PIn, PPar)):
-            return f"({s})"
-        return s
+# a replicated body and a parallel child are bracketed unless atomic
+_COMPOUND = (PPar, PNew, PIn)
 
-    return go(t)
+
+def _bracketed(x: PiTerm, free: frozenset, kinds) -> str:
+    """x shown, in brackets if it is one of kinds."""
+    s = _show(x, free)
+    return f"({s})" if isinstance(x, kinds) else s
+
+
+def _show(x: PiTerm, free: frozenset) -> str:
+    if isinstance(x, PNil):
+        return "0"
+    if isinstance(x, POut):
+        return f"{_show_name(x.subject, free)}!{_show_name(x.obj, free)}"
+    if isinstance(x, PIn):
+        subject, binder = _show_name(x.subject, free), _show_name(x.binder, free)
+        return f"{subject}?({binder}).{_bracketed(x.body, free, PPar)}"
+    if isinstance(x, PNew):
+        return f"new {_show_name(x.binder, free)}.{_bracketed(x.body, free, PPar)}"
+    if isinstance(x, PRepl):
+        return f"!{_bracketed(x.body, free, _COMPOUND)}"
+    return " | ".join(_bracketed(c, free, _COMPOUND) for c in x.children)
+

@@ -24,6 +24,9 @@ table, the rank table is rewritten in place, so reduction must not run in
 several threads at once.  Canonical order puts equal components next to
 each other, so ``step`` leaves out of its redex search every component that
 is the same node as its left neighbour: its pairs repeat the neighbour's.
+A search (``explore`` with a stop predicate) reads states, not edges, so
+``search_step`` also skips each commuting redex whose reduct the search
+already holds, and finds the same states.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .rhoterm import (
     Input,
@@ -56,6 +59,7 @@ __all__ = [
     "redexes",
     "apply_redex",
     "step",
+    "search_step",
     "barbs",
     "OUT",
     "IN",
@@ -122,7 +126,8 @@ _ORDER: list = []
 _RANK: dict = {}
 _BY_KEY = attrgetter("key")
 
-# (input node, lift node) -> canonical components of their continuation
+# (input node, lift node) -> (input node, canonical components of their
+# continuation); a search records this one tuple for every reduct of the pair
 _CONTINUATION: dict = {}
 
 #: this module's derived memo tables, as ``rhopi.cache_stats`` reports them;
@@ -147,22 +152,24 @@ def _rank(comps: Iterable[RhoProc]) -> None:
                 _RANK.update((d, float(r)) for r, d in enumerate(_ORDER, 1))
 
 
-def _successors(comps: tuple, pairs: list) -> list:
+def _successors(comps: tuple, pairs: list, first: Optional[dict] = None) -> list:
     """The canonical reducts of the state whose canonical components are
     comps by the communication of input comps[i] with lift comps[j], for
     each (i, j) in pairs, deduplicated, in that order: the one place a
-    successor is built."""
+    successor is built.  With first given, each reduct's input node and
+    continuation are recorded there unless the reduct already has an entry."""
     out: list = []
     seen = set()
     rank = _RANK.__getitem__
     for i, j in pairs:
         pair = inode, onode = comps[i], comps[j]
-        continuation = _CONTINUATION.get(pair)
-        if continuation is None:
+        known = _CONTINUATION.get(pair)
+        if known is None:
             # the payload quote is passed uncollapsed: name positions take its
             # canonical name, a dropped binder becomes the lifted body as written
             q = subst_marker(inode.body, quote(onode.body), inode.binder.index)
-            continuation = _CONTINUATION[pair] = _parts(q)
+            known = _CONTINUATION[pair] = (inode, _parts(q))
+        continuation = known[1]
         kids = list(comps)
         lo, hi = (i, j) if i < j else (j, i)
         del kids[hi], kids[lo]
@@ -177,6 +184,8 @@ def _successors(comps: tuple, pairs: list) -> list:
         if q not in seen:
             seen.add(q)
             out.append(q)
+            if first is not None:
+                first.setdefault(q, known)
     return out
 
 
@@ -192,6 +201,52 @@ def step(p: RhoProc) -> list:
     are already listed.  A component is ranked when a sort first meets it."""
     comps = components(p)
     return _successors(comps, _pairs(comps, distinct=True))
+
+
+def search_step() -> Callable[[RhoProc], list]:
+    """A fresh step function for one search, ``explore(root, search_step(),
+    stop=...)``: ``step`` less the commuting redexes whose reducts the
+    search already holds (Godefroid's sleep sets, LNCS 1032).
+
+    A reduct t records the input node it and the continuation C of the pair
+    (it, lt) that first produced it in this search, from its parent p: t is
+    p less it and lt, plus C.  Expanding t, the step leaves out each pair
+    (i, l) of t with neither i nor l in C and i ranked below it (an unranked
+    node never is).  Then i and l stand in p besides it and lt, so
+    t·(i, l) = (p·(i, l))·(it, lt), as multisets of components.  p pairs its
+    inputs in rank order, so it met (i, l) before (it, lt): s = p·(i, l) is
+    not t (that earlier pair would be recorded), and p's step yields s
+    before t or leaves s out as held.  So explore holds s before t, as a cut
+    that refused s would have refused t.  s is dequeued first, and its step
+    yields t·(i, l) or leaves it out by the same rule.  By induction on
+    dequeue order, every reduct left out of t's step is held by the time t
+    is expanded, or was refused as new earlier: by max_states, which would
+    refuse it again for the same reason, or by max_depth, after which a
+    search does not expand t, whose depth is at least s's.  So explore
+    admits the same states in the same order, at the same depths from the
+    same parents, and ends with the same hit, truncated and
+    truncated_reason; only the graph's edges shrink.  A graph (no stop)
+    needs every edge and expands its depth-bound states: use ``step``."""
+    first: dict = {}
+
+    def search(t: RhoProc) -> list:
+        comps = components(t)
+        pairs = _pairs(comps, distinct=True)
+        # t is expanded once, so its entry goes: the map holds the frontier
+        origin = first.pop(t, None)
+        top = None if origin is None else _RANK.get(origin[0])
+        if top is not None:
+            rank, cont = _RANK.get, origin[1]
+            pairs = [
+                (i, j)
+                for i, j in pairs
+                if not rank(comps[i], top) < top
+                or comps[i] in cont
+                or comps[j] in cont
+            ]
+        return _successors(comps, pairs, first)
+
+    return search
 
 
 def barbs(p: RhoProc, restrict: Optional[Iterable[RhoName]] = None) -> frozenset:

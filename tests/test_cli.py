@@ -130,6 +130,22 @@ def test_barbs_restriction(capsys):
     assert out.strip().splitlines() == ["out @(@0!(0))"]
 
 
+def test_barbs_refuses_a_restriction_not_free_in_the_term(capsys):
+    # no immediate barb can be on a name that is not free in the term, so
+    # such a name can only be a mistake: its answer would always be empty
+    argv = ("barbs", "@0!(0) | @(@0!(0))!(0)", "--restrict")
+    code, out, err = run(capsys, *argv, "@(@0!(0)),@(@0?(y0).0)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --restrict name @(@0?(y0).0) is not free in the term")
+    code, out, _ = run(capsys, *argv, "@(@0?(y0).0)", "--json")
+    assert code == 2
+    assert "not free in the term" in json.loads(out)["error"]
+    # free but no barb: an empty answer, not an error
+    code, out, _ = run(capsys, "barbs", "@0!(*@(@0!(0)))", "--restrict", "@(@0!(0))")
+    assert (code, out.strip()) == (0, "")
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------

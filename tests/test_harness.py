@@ -8,12 +8,13 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import rhopi
-from rhopi import harness
+from rhopi import harness, lts
 from rhopi.harness import (
     FAIL,
     PASS,
@@ -30,7 +31,9 @@ from rhopi.harness import (
     repro_separation_witness,
 )
 from rhopi.encode import derivable
+from rhopi.lts import Verdict
 from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_barbs, pi_canon, pin, pnew, pout, ppar, prepl, show_pi
+from rhopi.rhoreduce import step as rho_step
 from rhopi.rhoterm import NULL_NAME, gen_fresh, lincr, ncomp
 
 
@@ -102,6 +105,26 @@ def test_identified_sources_reproduction_passes():
     rep = repro_cex2()
     assert rep.passed
     assert len(set(c.label for c in rep.checks)) == len(rep.checks)
+
+
+def test_cex2_flag_searches_keep_their_results(monkeypatch):
+    # the flag searches skip commuting redexes; each must still give what a
+    # search by the full step function gives, at the recorded sizes
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, lts.weak_barb_search(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "weak_barb_search", recording)
+    repro_cex2()
+    (fresh, constant) = (got for _, _, got in calls)
+    assert fresh.verdict is Verdict.UNKNOWN
+    assert (fresh.explored, fresh.truncated_reason) == (4393, "max_depth")
+    assert constant.verdict is Verdict.YES
+    assert (constant.depth, constant.explored) == (13, 111)
+    for (root, _, flagged), bounds, got in calls:
+        assert got == lts.weak_barb_search(root, rho_step, flagged, **bounds)
 
 
 def _verdicts_and_evidence(rep) -> dict:
@@ -181,6 +204,36 @@ def test_criteria_helpers_leave_no_cyclic_garbage(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _from_rhopi(obj) -> bool:
+    """Is obj a function defined in rhopi, or a cell holding one?"""
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # an empty cell
+            return False
+    return isinstance(obj, types.FunctionType) and obj.__module__.startswith("rhopi")
+
+
+def test_corpus_printing_criteria_and_cex2_leave_no_cyclic_functions():
+    # a nested recursive function is a cycle through its own cell, made on
+    # every call and freed only by the collector
+    rhopi.clear_caches()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        corpus = make_corpus(seed=1, count=50, size_limit=20)
+        for term in corpus.terms:
+            show_pi(term)
+        check_criteria(corpus)
+        repro_cex2()
+        gc.collect()
+        left = [o for o in gc.garbage if _from_rhopi(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_too_small_bounds_raise_instead_of_failing_quietly():

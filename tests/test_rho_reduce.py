@@ -3,6 +3,8 @@ equivalent (not merely identical) subjects, payloads splice as written,
 reduction never reaches under guards or quotes, and barbs/redexes are
 computed on canonical component lists."""
 
+import random
+
 import pytest
 
 import rhopi
@@ -11,11 +13,13 @@ from rhopi.lts import explore
 from rhopi.rhoreduce import (
     _ORDER,
     _RANK,
+    Redex,
     _rank,
     apply_redex,
     barbs,
     components,
     redexes,
+    search_step,
     step,
 )
 from rhopi.rhoterm import (
@@ -291,16 +295,26 @@ def test_equal_neighbours_repeat_a_pair_and_are_skipped():
 
 
 def states_step_sees(monkeypatch, experiment) -> list:
-    """The distinct states step is called on while the experiment runs, in
-    the order it first sees them."""
+    """The distinct states step, or a flag search's step, is called on while
+    the experiment runs, in the order it first sees them."""
     reached = []
 
     def recording_step(p):
         reached.append(p)
         return step(p)
 
+    def recording_search_step():
+        search = search_step()
+
+        def recording_search(p):
+            reached.append(p)
+            return search(p)
+
+        return recording_search
+
     monkeypatch.setattr(harness, "rho_step", recording_step)
     monkeypatch.setattr(equiv, "rho_step", recording_step)
+    monkeypatch.setattr(harness, "search_step", recording_search_step)
     experiment()
     return list(dict.fromkeys(reached))
 
@@ -378,3 +392,78 @@ def test_a_spent_rank_gap_renumbers_in_key_order():
     p = canon_proc(par(*below, top, inp(xn, b, drop(b)), lift(xn, drop(marker(150)))))
     assert len(step(p)) == 1
     assert_step_matches_reference(p)
+
+
+# ---------------------------------------------------------------------------
+# A search skips commuting redexes
+# ---------------------------------------------------------------------------
+
+
+def fire(p, inode, onode):
+    """The reduct of p by its input inode and lift onode."""
+    comps = components(p)
+    return apply_redex(p, Redex(comps.index(inode), comps.index(onode), inode.subject))
+
+
+def test_independent_redexes_commute():
+    # the diamond search_step rests on: two redexes that share no component,
+    # fired in either order, reach one canonical state
+    i1, l1 = canon_proc(inp(xn, b, lift(yn, drop(b)))), canon_proc(lift(xn, drop(zn)))
+    i2, l2 = canon_proc(inp(yn, b, par(drop(b), lift(zn, nil())))), canon_proc(lift(yn, lift(xn, nil())))
+    p = canon_proc(par(i1, l1, i2, l2))
+    left, right = fire(p, i1, l1), fire(p, i2, l2)
+    assert left is not right
+    assert fire(left, i2, l2) is fire(right, i1, l1)
+
+
+def random_concurrent_state(rng):
+    """A small reflective state with concurrent redexes on two or three
+    names: lifts, copiers that forward their payload, inputs that run it,
+    and sometimes a spawner that re-arms itself and grows the state."""
+    names = [xn, yn, zn][: rng.randint(2, 3)]
+
+    def name():
+        return rng.choice(names)
+
+    comps = []
+    for _ in range(rng.randint(2, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            comps.append(lift(name(), rng.choice([nil(), drop(name()), lift(name(), nil())])))
+        elif kind == 1:
+            comps.append(inp(name(), b, lift(name(), drop(b))))
+        elif kind == 2:
+            comps.append(inp(name(), b, par(drop(b), lift(name(), nil()))))
+        else:
+            x = name()
+            spawner = inp(x, b, par(drop(b), lift(x, drop(b)), lift(name(), nil())))
+            comps += [spawner, lift(x, spawner)]
+    return canon_proc(par(*comps))
+
+
+def test_a_search_step_search_equals_a_step_search():
+    reasons, pruned = set(), 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        root = random_concurrent_state(rng)
+        subject = canon_name(rng.choice([xn, yn, zn, c]))
+        bounds = {"max_states": rng.randint(1, 80), "max_depth": rng.randint(0, 10)}
+
+        def flagged(s):
+            return ("out", subject) in barbs(s)
+
+        full = explore(root, step, stop=flagged, **bounds)
+        got = explore(root, search_step(), stop=flagged, **bounds)
+        assert got.states == full.states, seed
+        assert got.depths == full.depths
+        assert got.parents == full.parents
+        assert (got.hit, got.truncated, got.truncated_reason) == (
+            full.hit,
+            full.truncated,
+            full.truncated_reason,
+        )
+        assert all(set(e) <= set(f) for e, f in zip(got.edges, full.edges))
+        reasons.add(full.truncated_reason if full.hit is None else "hit")
+        pruned += sum(map(len, full.edges)) - sum(map(len, got.edges))
+    assert reasons == {None, "max_states", "max_depth", "hit"}
+    assert pruned > 0
