@@ -672,6 +672,7 @@ def _cmd_bisim(args) -> int:
         "truncated": rep.truncated,
         "truncated_reason": rep.truncated_reason,
         "witness": _render_witness(rep.witness, calc),
+        "blocks": rep.blocks,
     }
     lines = [_verdict_line(rep.verdict.value, rep.truncated_reason)]
     if rep.witness:

@@ -3,9 +3,11 @@
 ``barbed_bisim`` decides barbed bisimilarity of the roots of two explored
 graphs (``Lts``) under a barb observation: states are related when their
 (weak) barb sets agree and every move of one can be matched by the other,
-weakly through any number of reductions.  The checker saturates the graphs
-for the weak case (reachable sets via strongly-connected-component
-condensation) and runs partition refinement over their union.  A truncated
+weakly through any number of reductions.  The checker runs partition
+refinement over the union of the two graphs; in the weak case it refines on
+the strongly-connected-component condensation, where each round gives every
+component the set of blocks it reaches, so a state's reachable set is built
+only to name a witness of a NOT_BISIMILAR verdict.  A truncated
 graph yields Unknown unless a definite distinction survives truncation (a
 barb one side exhibits and the other side provably never reaches).
 ``bisim_blocks`` runs the same refinement over any number of graphs and
@@ -221,11 +223,11 @@ def barbed_bisim(
         return BisimReport(verdict, weak, states, True, witness, truncated_reason=cut)
 
     all_states, edges, (_, n1) = _union([g1, g2])
-    block_of, succ_rel, barb_sig = _refine(all_states, edges, barb_fn, weak)
+    block_of, barb_sig, sccs = _refine(all_states, edges, barb_fn, weak)
     nblocks = len(set(block_of))
     if block_of[0] == block_of[n1]:
         return BisimReport(BisimVerdict.BISIMILAR, weak, states, False, None, nblocks)
-    witness = _bisim_witness(all_states, n1, block_of, succ_rel, barb_sig, weak)
+    witness = _bisim_witness(all_states, n1, block_of, barb_sig, weak, edges, sccs)
     return BisimReport(BisimVerdict.NOT_BISIMILAR, weak, states, False, witness, nblocks)
 
 
@@ -255,37 +257,51 @@ def _union(graphs: list) -> tuple:
 
 def _refine(states: list, edges: list, barb_fn: Callable, weak: bool) -> tuple:
     """Coarsest partition of a graph's states that agrees on (weak) barbs and
-    is stable under (weak) moves: (block of each state, the successor
-    relation used, the barb signature used)."""
-    n = len(states)
+    is stable under (weak) moves: (block of each state, the barb signature
+    used, the SCCs ``(comp_of, comps)`` when weak, else ``None``).
+
+    Each round gives state i the signature (its block, the blocks it moves
+    to) and numbers the signatures by first occurrence.  A strong move is an
+    edge.  A weak move reaches any state of i's reflexive-transitive
+    closure, and that set is never built: the members of one SCC share
+    their closure, hence their weak barbs and their first block, and if
+    they share a block they share their signature, hence their next block.
+    So each round gives a component, in completion order, the union of its
+    own block and the reached-block sets of the components it steps to,
+    which is the set of blocks its closure meets.  Refinement only splits
+    blocks, so an unchanged block count is the fixed point."""
+    sccs = None
     if weak:
-        sccs = _sccs(n, edges)
-        succ_rel = _reach_sets(n, edges, sccs)
+        sccs = comp_of, comps = _sccs(len(states), edges)
         barb_sig = _observe(states, edges, barb_fn, sccs)
+        comp_succ = []
+        for ci, members in enumerate(comps):
+            succ = {comp_of[v] for u in members for v in edges[u]}
+            succ.discard(ci)
+            comp_succ.append(succ)
     else:
-        succ_rel = [set(row) for row in edges]
         barb_sig = [barb_fn(st) for st in states]
-    block_of = _regroup([(sig,) for sig in barb_sig])
+    block_of, nblocks = _regroup(barb_sig)
     while True:
-        sigs = [
-            (block_of[i], frozenset(block_of[j] for j in succ_rel[i])) for i in range(n)
-        ]
-        new_block_of = _regroup(sigs)
-        if new_block_of == block_of:
-            return block_of, succ_rel, barb_sig
-        block_of = new_block_of
+        if weak:
+            reach: list = []
+            get = reach.__getitem__
+            for members, succ in zip(comps, comp_succ):
+                reach.append(frozenset((block_of[members[0]],)).union(*map(get, succ)))
+            moves = map(get, comp_of)
+        else:
+            get = block_of.__getitem__
+            moves = [frozenset(map(get, row)) for row in edges]
+        block_of, count = _regroup(zip(block_of, moves))
+        if count == nblocks:
+            return block_of, barb_sig, sccs
+        nblocks = count
 
 
-def _regroup(sigs: list) -> list:
+def _regroup(sigs: Iterable) -> tuple:
+    """First-occurrence numbers of sigs, and how many distinct ones there are."""
     ids: dict = {}
-    out = []
-    for s in sigs:
-        b = ids.get(s)
-        if b is None:
-            b = len(ids)
-            ids[s] = b
-        out.append(b)
-    return out
+    return [ids.setdefault(s, len(ids)) for s in sigs], len(ids)
 
 
 def _barb_diff(b1: frozenset, b2: frozenset) -> tuple:
@@ -294,7 +310,7 @@ def _barb_diff(b1: frozenset, b2: frozenset) -> tuple:
     return ("right", sorted(b2 - b1, key=repr))
 
 
-def _bisim_witness(states, n1, block_of, succ_rel, barb_sig, weak) -> dict:
+def _bisim_witness(states, n1, block_of, barb_sig, weak, edges, sccs) -> dict:
     r1, r2 = 0, n1
     if barb_sig[r1] != barb_sig[r2]:
         return {
@@ -302,6 +318,8 @@ def _bisim_witness(states, n1, block_of, succ_rel, barb_sig, weak) -> dict:
             "kind": "weak" if weak else "strong",
             "only": _barb_diff(barb_sig[r1], barb_sig[r2]),
         }
+    # the moves as sets: which state a witness names follows their order
+    succ_rel = _reach_sets(len(states), edges, sccs) if weak else [set(row) for row in edges]
     blocks1 = {block_of[j] for j in succ_rel[r1]}
     blocks2 = {block_of[j] for j in succ_rel[r2]}
     if blocks1 - blocks2:
@@ -390,13 +408,13 @@ def _observe(states: list, edges: list, barb_fn: Callable, sccs: tuple) -> list:
     comp_of, comps = sccs
     comp_obs: list = []
     for ci, members in enumerate(comps):
-        acc: frozenset = frozenset()
+        acc: set = set()
         for u in members:
             acc |= barb_fn(states[u])
             for v in edges[u]:
                 if comp_of[v] != ci:
                     acc |= comp_obs[comp_of[v]]
-        comp_obs.append(acc)
+        comp_obs.append(frozenset(acc))
     return [comp_obs[c] for c in comp_of]
 
 

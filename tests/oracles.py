@@ -564,3 +564,54 @@ def reference_pi_barbs(t, restrict=None) -> frozenset:
     if restrict is not None:
         acc = {b for b in acc if b[1] in set(restrict)}
     return frozenset(acc)
+
+
+# ---------------------------------------------------------------------------
+# Barbed bisimulation blocks on a plain graph
+# ---------------------------------------------------------------------------
+
+
+def reference_reach(n: int, edges: list) -> list:
+    """Per state, the set of states it reaches in zero or more steps, each
+    found by its own depth-first search."""
+    out = []
+    for i in range(n):
+        seen = {i}
+        todo = [i]
+        while todo:
+            for j in edges[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        out.append(seen)
+    return out
+
+
+def reference_blocks(n: int, edges: list, barbs: list, weak: bool) -> list:
+    """Coarsest (weak) barbed bisimulation on a graph of n states with
+    successor lists edges and per-state barb sets barbs: the block of each
+    state, blocks numbered by first occurrence.  Weakly, a state observes
+    the union of the barbs it reaches and moves to any state it reaches
+    (itself included); strongly, it observes its own barbs and moves along
+    its edges.  Each round splits by (block, frozenset of blocks moved to)
+    until the partition stops changing."""
+    if weak:
+        moves = reference_reach(n, edges)
+        seen = [frozenset().union(*(barbs[j] for j in moves[i])) for i in range(n)]
+    else:
+        moves = [set(row) for row in edges]
+        seen = [frozenset(b) for b in barbs]
+
+    def renumber(sigs: list) -> list:
+        first: dict = {}
+        for s in sigs:
+            if s not in first:
+                first[s] = len(first)
+        return [first[s] for s in sigs]
+
+    blocks = renumber(seen)
+    while True:
+        nxt = renumber([(blocks[i], frozenset(blocks[j] for j in moves[i])) for i in range(n)])
+        if nxt == blocks:
+            return blocks
+        blocks = nxt

@@ -376,6 +376,24 @@ def test_bisim_witness_is_printed_as_terms(capsys):
     assert pi_canon(parse_pi(witness["to_state"])) is pi_canon(parse_pi("0"))
 
 
+def test_bisim_json_gives_the_refinements_block_count(capsys):
+    argv = ("bisim", "a!b | a?(x).c!x", "a!b | a?(x).new z.(z!x | z?(y).c!y)", "--calculus", "pi")
+    found = []
+    for flags in ((), ("--weak",)):
+        code, out, _ = run(capsys, *argv, *flags, "--json")
+        payload = json.loads(out)
+        found.append((code, payload["verdict"], payload["blocks"]))
+        assert "blocks" not in run(capsys, *argv, *flags)[1]  # the text output is as it was
+    # 2 + 3 states: strongly 4 classes, weakly the relay's extra step joins them into 2
+    assert found == [(1, "not-bisimilar", 4), (0, "bisimilar", 2)]
+    # no refinement runs on identical canonical terms or a cut-off graph
+    code, out, _ = run(capsys, "bisim", "a!b", "a!b | 0", "--calculus", "pi", "--json")
+    assert (code, json.loads(out)["blocks"]) == (0, None)
+    cut = ("bisim", "--calculus", "pi", "--weak", _COPIER, "!(a!b | a?(x).c!c)", "--json")
+    payload = json.loads(run(capsys, *cut, "--max-states", "4")[1])
+    assert (payload["truncated"], payload["blocks"]) == (True, None)
+
+
 _RHO_INPUTS = (
     "@0!(0) | @0?(y).*y",
     "@0!(@0!(0)) | @0?(y).(*y | @0!(0))",

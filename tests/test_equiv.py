@@ -2,16 +2,27 @@
 
 Covers the graph helpers, the bounded barbed-bisimulation checker in both
 calculi, weak barb sets, the three divergence verdict rules, and the replay
-matcher's unit-level behaviour.
+matcher's unit-level behaviour.  Partition refinement is checked against a
+closure-set oracle on random graphs, and its reports on the handshake family
+are pinned (``tests/data/handshake_bisim.json``).
 """
 
-import pytest
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 import rhopi
 from rhopi import equiv
 from rhopi.encode import encode_mr, encode_ns
 from rhopi.equiv import (
     BisimVerdict,
+    BisimReport,
     DivergenceVerdict,
     _find_cycle,
     _reach_sets,
@@ -26,9 +37,23 @@ from rhopi.equiv import (
     rho_barbed_bisim,
     rho_graph_divergence,
     rho_weak_barb_set,
+    weak_observations,
 )
+from rhopi.cli import parse_pi
+from rhopi.harness import check_criteria
 from rhopi.lts import explore
-from rhopi.piterm import pi_barbs, pi_canon, pi_step, pin, pnew, pnil, pout, ppar, prepl
+from rhopi.piterm import (
+    pi_barbs,
+    pi_canon,
+    pi_step,
+    pin,
+    pnew,
+    pnil,
+    pout,
+    ppar,
+    prepl,
+    show_pi,
+)
 from rhopi.rhoreduce import barbs, step
 from rhopi.rhoterm import (
     NULL_NAME,
@@ -464,3 +489,128 @@ def test_state_barbs_are_the_restricted_union_over_children():
         assert pi_barbs(t, restrict) == {b for b in union if b[1] in restrict}
         assert rhopi.cache_stats()["piterm.state_barbs"] > 0
         rhopi.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# Refinement against the closure-set oracle, and what builds closure sets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _graph(draw):
+    """A disjoint union of 1-3 random graphs with random barbs: self-loops,
+    cycles, sinks and states no root reaches all occur."""
+    edges, barbs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n, off = draw(st.integers(1, 7)), len(edges)
+        for _ in range(n):
+            row = draw(st.lists(st.integers(0, n - 1), max_size=3))
+            edges.append([off + j for j in row])
+            barbs.append(draw(st.frozensets(st.sampled_from("abc"), max_size=2)))
+    return edges, barbs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph())
+def test_refinement_matches_the_closure_set_oracle(graph):
+    edges, barbs = graph
+    n = len(edges)
+    states = list(range(n))
+    for weak in (False, True):
+        blocks = equiv._refine(states, edges, barbs.__getitem__, weak)[0]
+        assert blocks == oracles.reference_blocks(n, edges, barbs, weak)
+    reach = oracles.reference_reach(n, edges)
+    union = [frozenset().union(*(barbs[j] for j in reach[i])) for i in range(n)]
+    assert weak_observations(states, edges, barbs.__getitem__) == union
+
+
+def _record_closure_sets(monkeypatch) -> list:
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _reach_sets(*args)
+
+    monkeypatch.setattr(equiv, "_reach_sets", recording)
+    return calls
+
+
+def test_weak_checks_build_no_closure_sets(monkeypatch):
+    calls = _record_closure_sets(monkeypatch)
+    rhopi.clear_caches()
+    assert pi_barbed_bisim(_P3, _Q3, weak=True).verdict is BisimVerdict.BISIMILAR
+    graphs = [explore(pi_canon(t), pi_step) for t in (_P3, _Q3)]
+    blocks = bisim_blocks(graphs, pi_barbs)
+    assert blocks[0][0] == blocks[1][0]
+    real_refine, refined = equiv._refine, []
+
+    def refine(states, edges, barb_fn, weak):
+        refined.append(weak)
+        return real_refine(states, edges, barb_fn, weak)
+
+    monkeypatch.setattr(equiv, "_refine", refine)
+    check_criteria(seed=1, count=10, size=10)
+    assert calls == [] and refined.count(True) > 0  # prop3 refined weakly
+
+
+_CHOICE = "a!b | a?(x).c!x | a?(x).d!x"
+_RELAYED_CHOICE = "a!b | a?(x).new e.(e!x | e?(y).c!y | e?(y).d!y)"
+
+
+@pytest.mark.parametrize(
+    "p, q, to_state",
+    [
+        (_CHOICE, _RELAYED_CHOICE, "a!b | (a?(u0).c!u0) | (a?(u0).d!u0)"),
+        (
+            _RELAYED_CHOICE,
+            _CHOICE,
+            "a!b | (a?(u0).new u1.(u1!u0 | (u1?(u2).c!u2) | (u1?(u2).d!u2)))",
+        ),
+    ],
+)
+def test_a_weak_move_witness_builds_closure_sets_once(monkeypatch, p, q, to_state):
+    # same weak barbs at the roots, but only the left side commits to c or d
+    # in one step; the witness is the one the closure-set refinement gave
+    calls = _record_closure_sets(monkeypatch)
+    rhopi.clear_caches()
+    r = pi_barbed_bisim(parse_pi(p), parse_pi(q), weak=True)
+    assert (r.verdict, r.states[0] + r.states[1], r.blocks) == (BisimVerdict.NOT_BISIMILAR, 7, 7)
+    assert {**r.witness, "to_state": show_pi(r.witness["to_state"])} == {
+        "reason": "move",
+        "side": "left",
+        "to_state": to_state,
+    }
+    assert len(calls) == 1
+
+
+def _handshake_family():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.handshake_family
+
+
+def _shown(report: BisimReport) -> list:
+    w = report.witness and dict(report.witness)
+    if w and "to_state" in w:
+        w["to_state"] = show_pi(w["to_state"])
+    return [report.verdict.value, report.blocks, w]
+
+
+def test_handshake_reports_are_pinned():
+    """Verdict, block count and witness of P_k / Q_k (k = 1-7, three seeds,
+    both argument orders, strong and weak), as the refinement over
+    per-state closure sets computed them."""
+    pinned = json.loads((Path(__file__).parent / "data" / "handshake_bisim.json").read_text())
+    family = _handshake_family()
+    found = {}
+    for k in range(1, 8):
+        for seed in (1, 2, 3):
+            p, q = map(parse_pi, family(k, seed))
+            for order, pair in (("pq", (p, q)), ("qp", (q, p))):
+                for weak in (False, True):
+                    report = pi_barbed_bisim(*pair, weak=weak)
+                    found[f"{k} {seed} {order} {'weak' if weak else 'strong'}"] = _shown(report)
+    assert found == pinned
