@@ -37,8 +37,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .encode import (
     EncodingError,
@@ -100,8 +99,7 @@ class ParseError(ValueError):
         self.msg = msg
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # punct kinds are their own text; others: ident, zero, eof
     text: str
     line: int
@@ -443,8 +441,7 @@ def _encoding_aliases(enc) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Calculus:
+class _Calculus(NamedTuple):
     """What the commands that take either calculus need of it."""
 
     parse: Callable

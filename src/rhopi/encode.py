@@ -28,8 +28,7 @@ congruence (that failure is the point of the counter-examples).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .piterm import PIn, PNew, PNil, POut, PPar, PRepl, PiTerm, pi_free_names, ppar
 from .rhoterm import (
@@ -201,8 +200,7 @@ def name_server(params: "EncodingParams") -> RhoProc:
     return server
 
 
-@dataclass(frozen=True)
-class EncodingParams:
+class EncodingParams(NamedTuple):
     """Machine names for the server-based encoding: n seeds the translation
     parameters, v is the public request channel, and x, z, s belong to the
     name server (copier channel, state channel, tower root)."""
@@ -426,8 +424,7 @@ def translate_mr(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NsEncoding:
+class NsEncoding(NamedTuple):
     """A source term translated against a running name server."""
 
     source: PiTerm
@@ -442,8 +439,7 @@ class NsEncoding:
         return canon_proc(par(self.translation, self.server))
 
 
-@dataclass
-class MrEncoding:
+class MrEncoding(NamedTuple):
     """A source term translated by the legacy encoding (self-contained)."""
 
     source: PiTerm

@@ -44,9 +44,8 @@ ever-growing fuel.  Anything else is Unknown.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .lts import Lts, explore
 from .piterm import PiTerm, pi_barbs, pi_canon, pi_step
@@ -180,8 +179,7 @@ class BisimVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class BisimReport:
+class BisimReport(NamedTuple):
     verdict: BisimVerdict
     weak: bool
     states: tuple  # (explored in graph 1, explored in graph 2)
@@ -322,14 +320,13 @@ def _bisim_witness(states, n1, block_of, barb_sig, weak, edges, sccs) -> dict:
     succ_rel = _reach_sets(len(states), edges, sccs) if weak else [set(row) for row in edges]
     blocks1 = {block_of[j] for j in succ_rel[r1]}
     blocks2 = {block_of[j] for j in succ_rel[r2]}
-    if blocks1 - blocks2:
-        b = next(iter(blocks1 - blocks2))
-        j = next(j for j in succ_rel[r1] if block_of[j] == b)
-        return {"reason": "move", "side": "left", "to_state": states[j]}
-    if blocks2 - blocks1:
-        b = next(iter(blocks2 - blocks1))
-        j = next(j for j in succ_rel[r2] if block_of[j] == b)
-        return {"reason": "move", "side": "right", "to_state": states[j]}
+    for side, r, only in (("left", r1, blocks1 - blocks2), ("right", r2, blocks2 - blocks1)):
+        if only:
+            # a weak closure holds r itself, a zero-step move: name another
+            # state of the first block that has one (first in move order)
+            first = {block_of[j]: j for j in reversed(list(succ_rel[r])) if j != r}
+            j = next((first[b] for b in only if b in first), r)
+            return {"reason": "move", "side": side, "to_state": states[j]}
     return {"reason": "refinement", "note": "roots separated below the first move"}
 
 
@@ -462,14 +459,21 @@ class DivergenceVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class DivergenceReport:
+class _DivergenceFields(NamedTuple):
     verdict: DivergenceVerdict
-    rule: Optional[str] = None  # "cycle" | "growth" | "replay"
-    evidence: dict = field(default_factory=dict)
-    states: int = 0
-    truncated: bool = False
-    truncated_reason: Optional[str] = None  # the budget a truncated graph hit
+    rule: Optional[str]  # "cycle" | "growth" | "replay"
+    evidence: dict
+    states: int
+    truncated: bool
+    truncated_reason: Optional[str]  # the budget a truncated graph hit
+
+
+class DivergenceReport(_DivergenceFields):
+    __slots__ = ()  # a fresh evidence dict per report, see __new__
+
+    def __new__(cls, verdict, rule=None, evidence=None, states=0, truncated=False, truncated_reason=None):
+        evidence = {} if evidence is None else evidence
+        return super().__new__(cls, verdict, rule, evidence, states, truncated, truncated_reason)
 
 
 _ANCESTOR_SCAN_LIMIT = 64  # ancestors inspected per state by the heuristics

@@ -31,8 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .encode import (
     EncodingError,
@@ -121,8 +120,7 @@ class BoundsTooSmall(RuntimeError):
     """An exploration was cut off before a required check could resolve."""
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     label: str
     verdict: str  # PASS / FAIL / UNKNOWN
     evidence: object = None
@@ -131,12 +129,18 @@ class Check:
         return {"label": self.label, "verdict": self.verdict, "evidence": self.evidence}
 
 
-@dataclass
-class Report:
+class _ReportFields(NamedTuple):
     name: str
     checks: list
-    bounds_used: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    bounds_used: dict
+    elapsed: float
+
+
+class Report(_ReportFields):
+    __slots__ = ()  # a fresh bounds_used dict per report, see __new__
+
+    def __new__(cls, name: str, checks: list, bounds_used: Optional[dict] = None, elapsed: float = 0.0):
+        return super().__new__(cls, name, checks, {} if bounds_used is None else bounds_used, elapsed)
 
     @property
     def passed(self) -> bool:
@@ -243,8 +247,7 @@ def _random_pi(rng: random.Random, budget: int, scope: tuple, atoms: tuple, hot:
     return term, c + cost
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     seed: int
     size_limit: int
     terms: list

@@ -24,9 +24,9 @@ witness.  ``weak_barb_search`` reads a three-valued verdict off such a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Optional
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 __all__ = ["Lts", "explore", "Verdict", "BarbSearch", "weak_barb_search"]
 
@@ -34,8 +34,7 @@ DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_DEPTH = 200
 
 
-@dataclass
-class Lts:
+class Lts(NamedTuple):
     """A bounded reduction graph.
 
     states are in discovery order (states[0] is the root); edges[i] lists
@@ -47,7 +46,8 @@ class Lts:
     nor do the depth-bound states a truncated search skipped (see explore).
     index maps each state to its position in states.  ``equiv`` hands a
     bisim check's graphs to the next check (see its docs), so no caller may
-    mutate a graph.
+    mutate a graph: assigning to a field raises, and its lists and index
+    stay as built.
     """
 
     states: list
@@ -57,7 +57,7 @@ class Lts:
     truncated: bool
     truncated_reason: Optional[str] = None
     hit: Optional[int] = None
-    index: dict = field(default_factory=dict, compare=False, repr=False)
+    index: dict = MappingProxyType({})  # read-only, so one shared default is safe
 
     def trace_to(self, i: int) -> list:
         """States along the BFS tree path from the root to state i."""
@@ -132,8 +132,7 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class BarbSearch:
+class BarbSearch(NamedTuple):
     """Result of a bounded weak-observation search.
 
     verdict YES comes with the depth of the first witnessing state and the

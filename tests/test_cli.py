@@ -4,6 +4,9 @@ comments and abbreviations, and parse-error reporting."""
 
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -531,3 +534,23 @@ def test_name_passing_print_parse_round_trip():
     for _ in range(1000):
         t = pi_canon(random_pi_term(rng, size=rng.randrange(1, 12)))
         assert pi_canon(parse_pi(show_pi(t))) is t
+
+
+# ---------------------------------------------------------------------------
+# Start-up
+# ---------------------------------------------------------------------------
+
+
+def test_importing_the_cli_generates_no_record_code():
+    # the records are named tuples: no dataclass decoration runs at import,
+    # and neither dataclasses nor the inspect module it pulls in is loaded
+    # (-S: no site hooks, which may import either on their own)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rhopi.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.split() == ["[]"]

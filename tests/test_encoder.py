@@ -179,6 +179,16 @@ def test_copier_receives_and_reemits_its_payload():
     assert struct_eq(c.body, par(drop(c.binder), lift(x, drop(c.binder))))
 
 
+def test_equal_params_share_one_name_server():
+    # the parameters key the server memo by value, as a hashable record
+    rhopi.clear_caches()
+    params = make_encoding_params(RenamingPolicy())
+    twin = EncodingParams(*params.all_names())
+    assert twin is not params and twin == params and hash(twin) == hash(params)
+    assert name_server(twin) is name_server(params)
+    assert rhopi.cache_stats()["encode.name_server"] == 1
+
+
 def test_name_server_has_copier_supply_and_seed():
     params = make_encoding_params(RenamingPolicy())
     comps = components(name_server(params))

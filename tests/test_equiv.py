@@ -23,6 +23,7 @@ from rhopi.encode import encode_mr, encode_ns
 from rhopi.equiv import (
     BisimVerdict,
     BisimReport,
+    DivergenceReport,
     DivergenceVerdict,
     _find_cycle,
     _reach_sets,
@@ -318,6 +319,16 @@ def test_divergence_terminates_on_finite_runs():
     assert rep0.states == 1
 
 
+def test_divergence_reports_never_share_a_default_dict():
+    a, b = DivergenceReport(DivergenceVerdict.UNKNOWN), DivergenceReport(DivergenceVerdict.UNKNOWN)
+    assert a.evidence == {} and a.evidence is not b.evidence
+    assert (a.rule, a.states, a.truncated, a.truncated_reason) == (None, 0, False, None)
+    evidence = {"cycle_states": [0]}
+    assert DivergenceReport(DivergenceVerdict.DIVERGES, "cycle", evidence).evidence is evidence
+    with pytest.raises(AttributeError):
+        a.states = 1
+
+
 def test_divergence_replay_on_legacy_replication_machine():
     rep = divergence_probe(encode_mr(prepl(pnil())).state, max_states=300, max_depth=100)
     assert rep.verdict is DivergenceVerdict.DIVERGES
@@ -560,17 +571,14 @@ _RELAYED_CHOICE = "a!b | a?(x).new e.(e!x | e?(y).c!y | e?(y).d!y)"
 @pytest.mark.parametrize(
     "p, q, to_state",
     [
-        (_CHOICE, _RELAYED_CHOICE, "a!b | (a?(u0).c!u0) | (a?(u0).d!u0)"),
-        (
-            _RELAYED_CHOICE,
-            _CHOICE,
-            "a!b | (a?(u0).new u1.(u1!u0 | (u1?(u2).c!u2) | (u1?(u2).d!u2)))",
-        ),
+        (_CHOICE, _RELAYED_CHOICE, "c!b | (a?(u0).d!u0)"),
+        (_RELAYED_CHOICE, _CHOICE, "new u0.(u0!b | (u0?(u1).c!u1) | (u0?(u1).d!u1))"),
     ],
 )
 def test_a_weak_move_witness_builds_closure_sets_once(monkeypatch, p, q, to_state):
     # same weak barbs at the roots, but only the left side commits to c or d
-    # in one step; the witness is the one the closure-set refinement gave
+    # in one step; the witness names a proper reduct, not the left root,
+    # which every weak closure holds
     calls = _record_closure_sets(monkeypatch)
     rhopi.clear_caches()
     r = pi_barbed_bisim(parse_pi(p), parse_pi(q), weak=True)

@@ -308,6 +308,17 @@ def test_report_passes_only_when_every_check_passes():
     assert not failed.passed
 
 
+def test_reports_never_share_a_default_dict():
+    a, b = Report("r", [Check("a", PASS)]), Report("r", [Check("a", PASS)])
+    assert a.bounds_used == {} and a.bounds_used is not b.bounds_used
+    assert a.to_dict()["bounds_used"] == {}
+    bounds = {"max_states": 10}
+    assert Report("r", [], bounds).bounds_used is bounds
+    assert a == b and repr(a).startswith("Report(name='r', checks=[Check(")
+    with pytest.raises(AttributeError):
+        a.elapsed = 1.0
+
+
 def test_report_header_names_fail_only_when_a_check_failed():
     heads = {
         "[PASS] r": [Check("a", PASS), Check("b", PASS)],

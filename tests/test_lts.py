@@ -5,6 +5,7 @@ predicate."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,19 @@ def test_trace_to_follows_shortest_paths():
 def test_index_maps_states_to_positions():
     g = explore(0, chain_step(3))
     assert all(g.states[g.index[s]] == s for s in g.states)
+
+
+def test_a_graph_is_read_only():
+    # equiv hands one check's graphs to the next, so no field may be rebound
+    g = explore(0, chain_step(3))
+    for name in Lts._fields:
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    # a graph built without an index shares one default, which is read-only
+    bare = Lts([0], [[]], [0], [None], False)
+    assert bare.index == {} and bare.index is Lts([1], [[]], [0], [None], False).index
+    with pytest.raises(TypeError):
+        bare.index[0] = 0
 
 
 # ---------------------------------------------------------------------------
