@@ -474,8 +474,8 @@ def _read_term_arg(arg: str, default_calculus: str) -> tuple:
 
 def _parse_restrict(spec: Optional[str], parse: Callable) -> Optional[list]:
     """The names of a comma-separated list, split at top-level commas only
-    and each parsed with parse; None for no list."""
-    if not spec:
+    and each parsed with parse; None for no list, an error for an empty one."""
+    if spec is None:
         return None
     out, depth, cur = [], 0, []
     for ch in spec:
@@ -488,9 +488,11 @@ def _parse_restrict(spec: Optional[str], parse: Callable) -> Optional[list]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return [parse(s.strip()) for s in out if s.strip()]
+    out.append("".join(cur))
+    names = [parse(s.strip()) for s in out if s.strip()]
+    if not names:
+        raise ParseError("--restrict lists no name", 1, 1)
+    return names
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:

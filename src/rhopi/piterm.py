@@ -50,7 +50,8 @@ Barbs are memoised per child too: a bound subject is a marker, never an
 atom, so a child's barbs do not depend on its siblings.
 
 Like the reflective-term module, nodes are interned so canonical-form
-equality is object identity.
+equality is object identity, and the intern table keys each node on its own
+fields, with no class tag (see ``_PINTERN``).
 """
 
 from __future__ import annotations
@@ -138,26 +139,24 @@ class PiMarker:
 #: A pi name is an atom (identifier string) or a canonical bound marker.
 PiName = Union[str, PiMarker]
 
+#: one entry per node, keyed as ``rhoterm._INTERN`` keys: a PPar on its
+#: children, a PRepl on its body node, a PiMarker on its int index, POut, PIn
+#: and PNew on their field tuples, and 0 on ``()``.  Sorts keep the classes
+#: apart: a PiMarker is not a PiTerm, and a name (atom or marker) is never a
+#: term, so POut's key ends with a name where PNew's ends with a term, and
+#: PNew's and PIn's start with a name where a PPar's starts with a term.
 _PINTERN: dict = {}
 
 
-def _pmk(cls, fields: tuple, key: tuple):
-    ident = (cls, *fields)
-    node = _PINTERN.get(ident)
-    if node is None:
-        node = _padd(ident, key)
-    return node
-
-
-def _padd(ident: tuple, key: tuple):
-    """Build and intern the node that ident, ``(class, *fields)``, names;
-    the caller found no entry for it in ``_PINTERN``."""
-    cls = ident[0]
-    fresh = cls.__new__(cls)
-    for slot, value in zip(cls.__slots__, ident[1:]):
-        setattr(fresh, slot, value)
-    fresh.key = key
-    return _PINTERN.setdefault(ident, fresh)
+def _pmk(cls, ident, fields: tuple, key: tuple):
+    """Intern a node of class cls with the given fields and sort key under
+    ident; the caller found no entry for ident in ``_PINTERN`` (each factory
+    looks ident up first, as ``rhoterm``'s do)."""
+    node = cls.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(node, slot, value)
+    node.key = key
+    return _PINTERN.setdefault(ident, node)
 
 
 def _name_key(n: PiName) -> tuple:
@@ -167,16 +166,10 @@ def _name_key(n: PiName) -> tuple:
 
 
 def pimarker(index: int) -> PiMarker:
-    m = _PINTERN.get((PiMarker, index))
-    if m is None:
-        fresh = PiMarker.__new__(PiMarker)
-        fresh.index = index
-        fresh.key = (1, index)
-        m = _PINTERN.setdefault((PiMarker, index), fresh)
-    return m
+    return _PINTERN.get(index) or _pmk(PiMarker, index, (index,), (1, index))
 
 
-_PNIL = _pmk(PNil, (), (0,))
+_PNIL = _pmk(PNil, (), (), (0,))
 
 
 def pnil() -> PiTerm:
@@ -184,22 +177,24 @@ def pnil() -> PiTerm:
 
 
 def pout(subject: PiName, obj: PiName) -> PiTerm:
-    key = (1, _name_key(subject), _name_key(obj))
-    return _pmk(POut, (subject, obj), key)
+    fields = (subject, obj)
+    return _PINTERN.get(fields) or _pmk(POut, fields, fields, (1, _name_key(subject), _name_key(obj)))
 
 
 def pin(subject: PiName, binder: PiName, body: PiTerm) -> PiTerm:
-    key = (2, _name_key(subject), _name_key(binder), body.key)
-    return _pmk(PIn, (subject, binder, body), key)
+    fields = (subject, binder, body)
+    return _PINTERN.get(fields) or _pmk(
+        PIn, fields, fields, (2, _name_key(subject), _name_key(binder), body.key)
+    )
 
 
 def prepl(body: PiTerm) -> PiTerm:
-    return _pmk(PRepl, (body,), (3, body.key))
+    return _PINTERN.get(body) or _pmk(PRepl, body, (body,), (3, body.key))
 
 
 def pnew(binder: PiName, body: PiTerm) -> PiTerm:
-    key = (4, _name_key(binder), body.key)
-    return _pmk(PNew, (binder, body), key)
+    fields = (binder, body)
+    return _PINTERN.get(fields) or _pmk(PNew, fields, fields, (4, _name_key(binder), body.key))
 
 
 def ppar(*children: PiTerm) -> PiTerm:
@@ -209,12 +204,7 @@ def ppar(*children: PiTerm) -> PiTerm:
         return _PNIL
     if len(children) == 1:
         return children[0]
-    # look the node up before paying for its key, as ``rhoterm.par``
-    ident = (PPar, children)
-    node = _PINTERN.get(ident)
-    if node is None:
-        node = _padd(ident, (5, *(c.key for c in children)))
-    return node
+    return _PINTERN.get(children) or _pmk(PPar, children, (children,), (5, *(c.key for c in children)))
 
 
 # ---------------------------------------------------------------------------

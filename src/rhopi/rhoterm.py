@@ -32,9 +32,11 @@ to P: the collapse is a law of names, not of processes.
 
 All nodes are interned: equal trees are the same Python object, so identity
 is equality and the hash (both inherited from ``object``), and canonical-form
-comparison is a pointer check.  The interning and canonicalization tables
-behave as thread-safe pure caches (they only ever map a key to one value;
-concurrent insertion is benign).
+comparison is a pointer check.  The intern table keys each node on its own
+fields, with no class tag (sorts keep the classes apart, see ``_INTERN``),
+and the canonical-form memo keys a top-level process on the node itself.
+These tables behave as thread-safe pure caches (they only ever map a key to
+one value; concurrent insertion is benign).
 
 Substitution never recurses into a quoted process: a name position whose
 whole name is equivalent to the target is replaced, anything strictly inside
@@ -162,29 +164,27 @@ class BoundMarker(RhoName):
     index: int
 
 
+#: one entry per node, keyed on its own fields: a Par on its children tuple,
+#: a Quote on its body, a Drop on its name, a BoundMarker on its int index, a
+#: Lift or an Input on its field tuple, 0 on ``()``.  Sorts keep two classes'
+#: keys apart: a name is never a process, a Lift's or an Input's key starts
+#: with a name where a Par's starts with a process, and a Par has 2+ children.
 _INTERN: dict = {}
 
 
-def _mk(cls, fields: tuple, key: tuple):
-    ident = (cls, *fields)
-    node = _INTERN.get(ident)
-    if node is None:
-        node = _add(ident, key)
-    return node
+def _mk(cls, ident, fields: tuple, key: tuple):
+    """Intern a node of class cls with the given fields and sort key under
+    ident; the caller found no entry for ident in ``_INTERN``.  Most nodes a
+    reduction builds are interned already, so each factory looks ident up
+    first and builds the sort key only on a miss."""
+    node = cls.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(node, slot, value)
+    node.key = key
+    return _INTERN.setdefault(ident, node)
 
 
-def _add(ident: tuple, key: tuple):
-    """Build and intern the node that ident, ``(class, *fields)``, names;
-    the caller found no entry for it in ``_INTERN``."""
-    cls = ident[0]
-    fresh = cls.__new__(cls)
-    for slot, value in zip(cls.__slots__, ident[1:]):
-        setattr(fresh, slot, value)
-    fresh.key = key
-    return _INTERN.setdefault(ident, fresh)
-
-
-_NIL_NODE = _mk(Nil, (), (0,))
+_NIL_NODE = _mk(Nil, (), (), (0,))
 NIL: RhoProc = _NIL_NODE
 
 
@@ -205,33 +205,29 @@ def par(*children: RhoProc) -> RhoProc:
         return _NIL_NODE
     if len(children) == 1:
         return children[0]
-    # most Pars a reduction builds are already interned: look the node up
-    # before paying for its key
-    ident = (Par, children)
-    node = _INTERN.get(ident)
-    if node is None:
-        node = _add(ident, (4, *(c.key for c in children)))
-    return node
+    return _INTERN.get(children) or _mk(Par, children, (children,), (4, *(c.key for c in children)))
 
 
 def lift(subject: RhoName, body: RhoProc) -> RhoProc:
     """The output ``subject!(body)``."""
-    return _mk(Lift, (subject, body), (2, subject.key, body.key))
+    fields = (subject, body)
+    return _INTERN.get(fields) or _mk(Lift, fields, fields, (2, subject.key, body.key))
 
 
 def inp(subject: RhoName, binder: RhoName, body: RhoProc) -> RhoProc:
     """The input ``subject?(binder).body``."""
-    return _mk(Input, (subject, binder, body), (3, subject.key, binder.key, body.key))
+    fields = (subject, binder, body)
+    return _INTERN.get(fields) or _mk(Input, fields, fields, (3, subject.key, binder.key, body.key))
 
 
 def drop(name: RhoName) -> RhoProc:
     """The drop ``*name``."""
-    return _mk(Drop, (name,), (1, name.key))
+    return _INTERN.get(name) or _mk(Drop, name, (name,), (1, name.key))
 
 
 def quote(body: RhoProc) -> RhoName:
     """The name ``@body``."""
-    return _mk(Quote, (body,), (0, body.key))
+    return _INTERN.get(body) or _mk(Quote, body, (body,), (0, body.key))
 
 
 def marker(index: int) -> RhoName:
@@ -240,7 +236,7 @@ def marker(index: int) -> RhoName:
     Markers appear in canonical and internal forms only; user-built terms use
     real (quoted) names as binders.
     """
-    return _mk(BoundMarker, (index,), (1, index))
+    return _INTERN.get(index) or _mk(BoundMarker, index, (index,), (1, index))
 
 
 NULL_NAME: RhoName = quote(NIL)  # @0, the simplest name
@@ -251,6 +247,7 @@ NULL_NAME: RhoName = quote(NIL)  # @0, the simplest name
 # ---------------------------------------------------------------------------
 
 _CANON_NAME: dict = {}
+#: keyed on the process itself at top level, on ``(p, env)`` under binders
 _CANON_PROC: dict = {}
 
 
@@ -290,7 +287,7 @@ def _canon_occ(n: RhoName, env: tuple) -> RhoName:
 
 
 def _canon(p: RhoProc, env: tuple) -> RhoProc:
-    cache_key = (p, env)
+    cache_key = (p, env) if env else p
     cached = _CANON_PROC.get(cache_key)
     if cached is not None:
         return cached
@@ -330,7 +327,7 @@ def _canon(p: RhoProc, env: tuple) -> RhoProc:
     # out is its own form under env only when env's binders are real names;
     # under markers (subst_marker's re-canonicalization) it renumbers them
     if not any(isinstance(b, BoundMarker) for b in env):
-        _CANON_PROC[(out, env)] = out
+        _CANON_PROC[(out, env) if env else out] = out
     return out
 
 
@@ -344,11 +341,11 @@ def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
         return _NIL_NODE
     if len(kids) == 1:
         return kids[0]
-    ident = (Par, tuple(kids))
-    out = _INTERN.get(ident)
+    kids = tuple(kids)
+    out = _INTERN.get(kids)
     if out is None:
-        out = _add(ident, (4, *(c.key for c in kids)))
-        _CANON_PROC[(out, ())] = out
+        out = _mk(Par, kids, (kids,), (4, *(c.key for c in kids)))
+        _CANON_PROC[out] = out
     return out
 
 

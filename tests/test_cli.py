@@ -244,6 +244,21 @@ def test_bisim_refuses_a_name_passing_restriction_free_in_neither_term(capsys):
     assert "free in neither term" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("restrict", ["", ",", " , "])
+@pytest.mark.parametrize(
+    "argv", [("barbs", "@0!(0)"), ("bisim", "@0!(0)", "0"), ("bisim", "a!b", "0", "--calculus", "pi")]
+)
+def test_a_restriction_list_that_names_nothing_is_refused(capsys, argv, restrict):
+    # observing no name makes any two terms bisimilar, and an empty list must
+    # not fall back to observing every name
+    code, out, err = run(capsys, *argv, "--restrict", restrict)
+    assert (code, out) == (2, "")
+    assert "--restrict lists no name" in err
+    code, out, _ = run(capsys, *argv, "--restrict", restrict, "--json")
+    assert code == 2
+    assert "--restrict lists no name" in json.loads(out)["error"]
+
+
 def test_bisim_warns_of_a_reflective_restriction_free_in_neither_term(capsys):
     # the separation witness: its reduct barbs on the name u minted from the
     # payload, which is free in neither term; the warning keeps the verdict

@@ -4,6 +4,7 @@ drop-collapse on names), substitution, quote depth, namespaces, and the
 deterministic fresh-name generator."""
 
 import functools
+import gc
 import random
 
 from hypothesis import given, settings
@@ -12,7 +13,21 @@ from hypothesis import strategies as st
 import oracles
 import rhopi
 from rhopi import equiv, harness, lts
-from rhopi.piterm import _PINTERN, PiMarker, PiTerm, PPar, pimarker, pout, ppar
+from rhopi.piterm import (
+    _PINTERN,
+    PiMarker,
+    PIn,
+    PiTerm,
+    PNew,
+    PNil,
+    POut,
+    PPar,
+    PRepl,
+    pimarker,
+    pout,
+    ppar,
+    prepl,
+)
 from rhopi.rhoreduce import components
 from rhopi.rhoterm import (
     _CANON_PROC,
@@ -297,7 +312,7 @@ def test_interned_pars_carry_the_eagerly_built_key(monkeypatch):
         assert nodes
         for n in nodes:
             assert n.key == (tag, *(c.key for c in n.children))
-            assert table[(cls, n.children)] is n
+            assert table[n.children] is n
 
 
 def test_rebuilt_trees_are_the_same_object_and_hash_by_identity():
@@ -329,17 +344,70 @@ def test_rebuilt_trees_are_the_same_object_and_hash_by_identity():
 
 def test_par_gives_one_node_on_a_miss_and_on_a_hit():
     kids = (lift(marker(900_001), nil()), drop(marker(900_001)))
-    assert (Par, kids) not in _INTERN
+    assert kids not in _INTERN
     first = par(*kids)
-    assert first.children == kids
+    assert first.children == kids and _INTERN[kids] is first
     assert par(list(kids)) is first  # a new tuple of the same children
     assert par(*kids) is first
     pkids = (pout("probe", "a"), pout("probe", "b"))
-    assert (PPar, pkids) not in _PINTERN
+    assert pkids not in _PINTERN
     pfirst = ppar(*pkids)
-    assert pfirst.children == pkids
+    assert pfirst.children == pkids and _PINTERN[pkids] is pfirst
     assert ppar(list(pkids)) is pfirst
     assert ppar(*pkids) is pfirst
+
+
+def _tracked_growth(build, count):
+    """Growth of the collector's tracked objects, per call, over count calls
+    of build(k) with fresh k.  Garbage is collected before and twice after:
+    a pass untracks a tuple of untracked items, a second the tuples holding it."""
+    gc.collect()
+    before = len(gc.get_objects())
+    for k in range(count):
+        build(k)
+    gc.collect()
+    gc.collect()
+    return (len(gc.get_objects()) - before) / count
+
+
+def test_interning_leaves_one_tracked_object_per_node():
+    # a node is stored under its own fields, so a chain of three fresh nodes
+    # adds the three nodes and no key tuple the collector must track
+    assert _tracked_growth(lambda k: quote(drop(marker(910_000 + k))), 300) <= 3
+    assert _tracked_growth(lambda k: (prepl(pout("gcprobe", f"n{k}")), pimarker(910_000 + k)), 300) <= 3
+
+
+#: the fields each class is interned on, in slot order
+_INTERN_FIELDS = {
+    Nil: (),
+    Par: ("children",),
+    Lift: ("subject", "body"),
+    Input: ("subject", "binder", "body"),
+    Drop: ("name",),
+    Quote: ("body",),
+    BoundMarker: ("index",),
+    PNil: (),
+    PPar: ("children",),
+    POut: ("subject", "obj"),
+    PIn: ("subject", "binder", "body"),
+    PNew: ("binder", "body"),
+    PRepl: ("body",),
+    PiMarker: ("index",),
+}
+
+
+def test_every_interned_node_is_stored_under_its_own_fields():
+    # the documented scheme: a one-field node keys on that field, any other
+    # on its field tuple (0 on the empty one); keys of two classes never meet
+    harness.check_criteria(seed=1, count=50, size=10)
+    harness.repro_cex1()
+    for table in (_INTERN, _PINTERN):
+        assert len(table) > 1000
+        for stored, node in table.items():
+            fields = tuple(getattr(node, f) for f in _INTERN_FIELDS[type(node)])
+            ident = fields[0] if len(fields) == 1 else fields
+            assert type(stored) is type(ident) and stored == ident
+            assert table[ident] is node
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +496,12 @@ def reference_canon(p, env):
     return par(*sorted(kids, key=lambda t: t.key))
 
 
+def _canon_memo_entries():
+    """The canonical-form memo as (p, env, form): a key that is a bare node
+    is the process at top level, env ``()``."""
+    return [(k, (), out) if isinstance(k, RhoTerm) else (*k, out) for k, out in _CANON_PROC.items()]
+
+
 def test_the_canonical_form_memo_agrees_with_a_cache_free_canonicalizer():
     # subst_marker re-canonicalizes consumed bodies under binder markers,
     # where a canonical form is not its own form; an entry recording it as one
@@ -435,9 +509,10 @@ def test_the_canonical_form_memo_agrees_with_a_cache_free_canonicalizer():
     rhopi.clear_caches()
     harness.check_criteria(seed=1, count=50, size=10)
     harness.repro_cex1()
-    entries = list(_CANON_PROC.items())
+    entries = _canon_memo_entries()
     assert len(entries) > 1000
-    wrong = [(p, env) for (p, env), out in entries if reference_canon(p, env) is not out]
+    assert all(k[1] for k in _CANON_PROC if isinstance(k, tuple))  # env () keys on the bare node
+    wrong = [(p, env) for p, env, out in entries if reference_canon(p, env) is not out]
     reference_canon.cache_clear()
     reference_canon_name.cache_clear()
     assert wrong == []
@@ -462,8 +537,7 @@ def test_the_flag_search_states_are_their_own_canonical_forms(monkeypatch):
     states = [s for g in graphs for s in g.states]
     assert len(graphs) == 2 and len(states) > 1000
     assert all(canon_proc(s) is s for s in states)
-    entries = list(_CANON_PROC.items())
-    wrong = [(p, env) for (p, env), out in entries if reference_canon(p, env) is not out]
+    wrong = [(p, env) for p, env, out in _canon_memo_entries() if reference_canon(p, env) is not out]
     assert wrong == []
     rhopi.clear_caches()
     assert all(canon_proc(s) is s for s in states)
