@@ -47,7 +47,7 @@ from collections import Counter
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .lts import Lts, explore
+from .lts import Lts, collector_paused, explore
 from .piterm import PiTerm, pi_barbs, pi_canon, pi_step
 from .rhoreduce import barbs as rho_barbs
 from .rhoreduce import components as rho_components
@@ -338,6 +338,7 @@ _GRAPHS: dict = {}
 DERIVED_CACHES = {"graphs": _GRAPHS}
 
 
+@collector_paused
 def _calculus_bisim(canon, step_fn, barbs, p, q, weak, restrict, max_states, max_depth):
     """barbed_bisim of two terms of one calculus: canon brings a term to its
     canonical form, step_fn and barbs are the calculus' reduction and
@@ -500,6 +501,7 @@ def graph_divergence(g: Lts) -> DivergenceReport:
     return DivergenceReport(DivergenceVerdict.UNKNOWN, None, {}, n, True, g.truncated_reason)
 
 
+@collector_paused
 def divergence_probe(
     p: RhoProc, max_states: int = 400, max_depth: int = 120
 ) -> DivergenceReport:
@@ -570,6 +572,7 @@ def rho_graph_divergence(g: Lts) -> DivergenceReport:
     return settled
 
 
+@collector_paused
 def pi_divergence(
     t: PiTerm, max_states: int = 2000, max_depth: int = 200
 ) -> DivergenceReport:
@@ -609,32 +612,46 @@ def _replay_match(a: RhoProc, s: RhoProc, budget: list) -> bool:
     as multisets with backtracking; ``budget`` is a one-element list of
     remaining matcher steps, decremented in place (exhaustion fails the
     match, conservatively)."""
-    fwd: dict = {}
-    bwd: dict = {}
-    trail: list = []
+    return _Replay(budget).walk(a, s)
 
-    def bind(x, y) -> bool:
+
+class _Replay:
+    """One _replay_match: the renaming both ways, the trail of bindings to
+    undo, and the step budget.  Methods, not nested recursive closures, so a
+    match leaves no reference cycle for the collector."""
+
+    __slots__ = ("fwd", "bwd", "trail", "budget")
+
+    def __init__(self, budget: list) -> None:
+        self.fwd: dict = {}
+        self.bwd: dict = {}
+        self.trail: list = []
+        self.budget = budget
+
+    def bind(self, x, y) -> bool:
         if isinstance(x, BoundMarker) or isinstance(y, BoundMarker):
             return x is y
-        prev = fwd.get(x)
+        prev = self.fwd.get(x)
         if prev is not None:
             return prev is y
-        if y in bwd:
+        if y in self.bwd:
             return False
         if x is not y and quote_depth(y) <= quote_depth(x):
             return False
-        fwd[x] = y
-        bwd[y] = x
-        trail.append((x, y))
+        self.fwd[x] = y
+        self.bwd[y] = x
+        self.trail.append((x, y))
         return True
 
-    def undo(mark: int) -> None:
+    def undo(self, mark: int) -> None:
+        trail = self.trail
         while len(trail) > mark:
             x, y = trail.pop()
-            del fwd[x]
-            del bwd[y]
+            del self.fwd[x]
+            del self.bwd[y]
 
-    def walk(p, q) -> bool:
+    def walk(self, p, q) -> bool:
+        budget = self.budget
         budget[0] -= 1
         if budget[0] < 0:
             return False
@@ -643,16 +660,16 @@ def _replay_match(a: RhoProc, s: RhoProc, budget: list) -> bool:
         if isinstance(p, Nil):
             return True
         if isinstance(p, Drop):
-            return bind(p.name, q.name)
+            return self.bind(p.name, q.name)
         if isinstance(p, Lift):
-            if not bind(p.subject, q.subject):
+            if not self.bind(p.subject, q.subject):
                 return False
-            mark = len(trail)
+            mark = len(self.trail)
             body = q.body
             while True:
-                if walk(p.body, body):
+                if self.walk(p.body, body):
                     return True
-                undo(mark)
+                self.undo(mark)
                 if isinstance(body, Lift):
                     body = body.body  # peel one wrapping output guard
                 else:
@@ -660,8 +677,8 @@ def _replay_match(a: RhoProc, s: RhoProc, budget: list) -> bool:
         if isinstance(p, Input):
             return (
                 p.binder is q.binder
-                and bind(p.subject, q.subject)
-                and walk(p.body, q.body)
+                and self.bind(p.subject, q.subject)
+                and self.walk(p.body, q.body)
             )
         if len(p.children) != len(q.children):
             return False
@@ -676,38 +693,26 @@ def _replay_match(a: RhoProc, s: RhoProc, budget: list) -> bool:
         for k in groups_p:
             if len(groups_p[k]) != len(groups_q[k]):
                 return False
+        pairs = [(groups_p[k], groups_q[k]) for k in sorted(groups_p)]
+        return self.match_groups(pairs, 0)
 
-        group_list = sorted(groups_p.keys())
+    def match_groups(self, pairs: list, gi: int) -> bool:
+        if gi == len(pairs):
+            return True
+        return self.match_items(pairs, gi, [False] * len(pairs[gi][1]), 0)
 
-        def match_groups(gi: int) -> bool:
-            if gi == len(group_list):
-                return True
-            key = group_list[gi]
-            left = groups_p[key]
-            right = groups_q[key]
-            used = [False] * len(right)
-
-            def match_items(li: int) -> bool:
-                if li == len(left):
-                    return match_groups(gi + 1)
-                for ri in range(len(right)):
-                    if used[ri]:
-                        continue
-                    mark = len(trail)
-                    if walk(left[li], right[ri]):
-                        used[ri] = True
-                        if match_items(li + 1):
-                            return True
-                        used[ri] = False
-                    undo(mark)
-                return False
-
-            return match_items(0)
-
-        return match_groups(0)
-
-    mark = len(trail)
-    ok = walk(a, s)
-    if not ok:
-        undo(mark)
-    return ok
+    def match_items(self, pairs: list, gi: int, used: list, li: int) -> bool:
+        left, right = pairs[gi]
+        if li == len(left):
+            return self.match_groups(pairs, gi + 1)
+        for ri in range(len(right)):
+            if used[ri]:
+                continue
+            mark = len(self.trail)
+            if self.walk(left[li], right[ri]):
+                used[ri] = True
+                if self.match_items(pairs, gi, used, li + 1):
+                    return True
+                used[ri] = False
+            self.undo(mark)
+        return False

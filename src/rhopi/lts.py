@@ -24,6 +24,8 @@ witness.  ``weak_barb_search`` reads a three-valued verdict off such a run.
 
 from __future__ import annotations
 
+import functools
+import gc
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, NamedTuple, Optional
@@ -32,6 +34,27 @@ __all__ = ["Lts", "explore", "Verdict", "BarbSearch", "weak_barb_search"]
 
 DEFAULT_MAX_STATES = 100_000
 DEFAULT_MAX_DEPTH = 200
+
+
+def collector_paused(fn):
+    """fn, run with the cyclic collector off: interned terms form an acyclic
+    DAG, so a collection inside a verdict scans them and frees nothing.  It
+    is re-enabled when fn returns or raises, unless the caller had disabled
+    it; a nested call then costs one ``gc.isenabled()``, as in ``timeit``.
+    For the entry points of ``harness`` and ``equiv`` that return a verdict
+    record, not for steps or ``explore``, which hot loops call."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Lts(NamedTuple):

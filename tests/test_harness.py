@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import rhopi
-from rhopi import harness, lts
+from rhopi import equiv, harness, lts
+from rhopi.equiv import divergence_probe, pi_barbed_bisim, pi_divergence, rho_barbed_bisim
 from rhopi.harness import (
     FAIL,
     PASS,
@@ -30,11 +31,11 @@ from rhopi.harness import (
     repro_cex2,
     repro_separation_witness,
 )
-from rhopi.encode import derivable
+from rhopi.encode import derivable, encode_mr
 from rhopi.lts import Verdict
-from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_barbs, pi_canon, pin, pnew, pout, ppar, prepl, show_pi
+from rhopi.piterm import PIn, PNew, PPar, PRepl, pi_barbs, pi_canon, pin, pnew, pnil, pout, ppar, prepl, show_pi
 from rhopi.rhoreduce import step as rho_step
-from rhopi.rhoterm import NULL_NAME, gen_fresh, lincr, ncomp
+from rhopi.rhoterm import NULL_NAME, gen_fresh, inp, lift, lincr, ncomp, nil, par
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,19 @@ def test_cex2_flag_searches_keep_their_results(monkeypatch):
         assert got == lts.weak_barb_search(root, rho_step, flagged, **bounds)
 
 
+def test_cex2_cut_off_flag_search_is_unknown_not_fail():
+    # the constant-object translation flags at depth 13; a search cut off
+    # before it has not shown that it never flags
+    rep = repro_cex2(search_max_depth=12)
+    last = rep.checks[-1]
+    assert last.label.startswith("encoded side: the translated context flags only")
+    assert last.verdict == UNKNOWN
+    assert last.evidence["constant"] == "unknown"
+    assert last.evidence["constant_budget"] == "max_depth"
+    assert [c.verdict for c in rep.checks[:-1]] == [PASS] * (len(rep.checks) - 1)
+    assert "constant_budget" not in repro_cex2().checks[-1].evidence
+
+
 def _verdicts_and_evidence(rep) -> dict:
     d = rep.to_dict()
     d.pop("elapsed_seconds")
@@ -184,18 +198,55 @@ def _fresh_term():
     return pnew("z", ppar(pout("z", "gc_a"), pin("gc_a", "y", pnew("w", pout("y", "w"))), pout("gc_b", "z")))
 
 
+def _handshake(relayed: bool):
+    """Three pairs a_i!b | a_i?(x).c_i!x; relayed routes the first pair's
+    continuation through a private relay, which only a weak check forgives."""
+    pairs = []
+    for i in range(3):
+        cont = pout(f"c{i}", "x")
+        if relayed and i == 0:
+            cont = pnew("z", ppar(pout("z", "x"), pin("z", "y", pout(f"c{i}", "y"))))
+        pairs.append(ppar(pout(f"a{i}", "b"), pin(f"a{i}", "x", cont)))
+    return ppar(*pairs)
+
+
+_X = NULL_NAME
+_Y = gen_fresh([_X])
+_A = gen_fresh([_X, _Y])
+
+# every entry point that runs with the collector paused, on small inputs
+PAUSED_CALLS = {
+    "check_criteria": lambda: check_criteria(seed=1, count=5, size=10),
+    "repro_separation_witness": repro_separation_witness,
+    "repro_cex1": repro_cex1,
+    "repro_cex2": repro_cex2,
+    "repro_cex2_cut": lambda: repro_cex2(search_max_depth=12),
+    "pi_barbed_bisim_strong": lambda: pi_barbed_bisim(_handshake(False), _handshake(True), weak=False),
+    "pi_barbed_bisim_weak": lambda: pi_barbed_bisim(_handshake(False), _handshake(True), weak=True),
+    "rho_barbed_bisim": lambda: rho_barbed_bisim(
+        lift(_X, nil()), par(inp(_Y, _A, lift(_X, nil())), lift(_Y, nil()))
+    ),
+    "divergence_probe": lambda: divergence_probe(
+        encode_mr(prepl(pnil())).state, max_states=60, max_depth=40
+    ),
+    "pi_divergence": lambda: pi_divergence(ppar(prepl(pin("a", "x", pout("a", "x"))), pout("a", "b"))),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: derivable([NULL_NAME, gen_fresh([NULL_NAME])], ncomp(lincr(NULL_NAME), gen_fresh([NULL_NAME]))),
         lambda: pi_barbs(_fresh_term()),
         lambda: pi_canon(_fresh_term()),
+        *PAUSED_CALLS.values(),
     ],
-    ids=["derivable", "pi_barbs", "pi_canon"],
+    ids=["derivable", "pi_barbs", "pi_canon", *PAUSED_CALLS],
 )
 def test_criteria_helpers_leave_no_cyclic_garbage(call):
     # what a call leaves behind must be freed by reference counting alone:
-    # a cycle waits for the collector, once per criteria term
+    # a cycle waits for the collector, once per criteria term; an entry
+    # point that pauses the collector must make none, or it would pile up
     rhopi.clear_caches()
     gc.collect()
     gc.disable()
@@ -234,6 +285,58 @@ def test_corpus_printing_criteria_and_cex2_leave_no_cyclic_functions():
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+def test_verdict_entry_points_pause_the_collector_and_restore_it(monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "explore", recording(lts.explore))
+    monkeypatch.setattr(equiv, "explore", recording(lts.explore))
+    # the separation witness steps its term without exploring it, and
+    # cex1's source searches run before its first explore
+    monkeypatch.setattr(harness, "rho_step", recording(rho_step))
+    monkeypatch.setattr(harness, "weak_barb_search", recording(lts.weak_barb_search))
+    assert gc.isenabled()
+    for name, call in PAUSED_CALLS.items():
+        for caller_paused in (False, True):
+            rhopi.clear_caches()  # the bisim checks must explore again
+            seen.clear()
+            if caller_paused:
+                gc.disable()
+            try:
+                call()
+                assert seen and not any(seen), name
+                assert gc.isenabled() is not caller_paused, name
+            finally:
+                gc.enable()
+
+    seen.clear()
+    with pytest.raises(BoundsTooSmall):
+        repro_cex1(pi_max_states=1)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_importing_rhopi_leaves_the_collector_alone():
+    code = (
+        "import gc\n"
+        "before = (gc.isenabled(), gc.get_threshold())\n"
+        "import rhopi, rhopi.cli\n"
+        "print(before == (gc.isenabled(), gc.get_threshold()))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.split() == ["True"]
 
 
 def test_too_small_bounds_raise_instead_of_failing_quietly():
