@@ -93,7 +93,9 @@ __all__ = [
 class PiTerm:
     """Base class for interned pi terms; construct via the factories.  Equal
     trees are the same object, so ``object``'s identity ``==`` and ``hash``
-    are the term's."""
+    are the term's.  ``key`` is the sort key of the total term order, built
+    at construction, except for a state built by ``_canon_sorted_ppar``,
+    which builds it when first read."""
 
     __slots__ = ("key",)
 
@@ -108,6 +110,13 @@ class PNil(PiTerm):
 class PPar(PiTerm):
     __slots__ = ("children",)
     children: tuple
+
+    def __getattr__(self, name: str):
+        # an unset key, of a _canon_sorted_ppar state: no child is a PPar
+        if name != "key":
+            raise AttributeError(name)
+        self.key = key = (5, *(c.key for c in self.children))
+        return key
 
 
 class POut(PiTerm):
@@ -148,14 +157,16 @@ PiName = Union[str, PiMarker]
 _PINTERN: dict = {}
 
 
-def _pmk(cls, ident, fields: tuple, key: tuple):
+def _pmk(cls, ident, fields: tuple, key: Optional[tuple]):
     """Intern a node of class cls with the given fields and sort key under
     ident; the caller found no entry for ident in ``_PINTERN`` (each factory
-    looks ident up first, as ``rhoterm``'s do)."""
+    looks ident up first, as ``rhoterm``'s do).  A key of None leaves the
+    slot unset, for ``PPar.__getattr__`` to build when first read."""
     node = cls.__new__(cls)
     for slot, value in zip(cls.__slots__, fields):
         setattr(node, slot, value)
-    node.key = key
+    if key is not None:
+        node.key = key
     return _PINTERN.setdefault(ident, node)
 
 
@@ -207,6 +218,31 @@ def ppar(*children: PiTerm) -> PiTerm:
     return _PINTERN.get(children) or _pmk(PPar, children, (children,), (5, *(c.key for c in children)))
 
 
+def _canon_sorted_ppar(kids: list) -> PiTerm:
+    """``ppar(*kids)`` of key-sorted canonical top-level children (no 0, no
+    PPar); as in ``rhoterm.canon_sorted_par``, a new PPar builds its key on read."""
+    kids = tuple(kids)
+    return ppar(*kids) if len(kids) < 2 else _PINTERN.get(kids) or _pmk(PPar, kids, (kids,), None)
+
+
+def _par_fold(t: PPar, leaf, node):
+    """Fold t's nested parallel spine with an explicit stack, so a parser's
+    left-nested ``|`` of any width does not recurse: ``leaf(x)`` for each
+    other node on it, left to right, ``node(p, values)`` for each PPar p."""
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):  # every child of x[0] has its value
+            n = len(x[0].children)
+            out[-n:] = [node(x[0], out[-n:])]
+        elif isinstance(x, PPar):
+            todo.append((x,))
+            todo.extend(reversed(x.children))
+        else:
+            out.append(leaf(x))
+    return out[0]
+
+
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------
@@ -253,7 +289,7 @@ def _named(t: PiTerm, env: dict, gen: _Gensym) -> PiTerm:
         return pnew(fresh, _named(t.body, {**env, t.binder: fresh}, gen))
     if isinstance(t, PRepl):
         return prepl(_named(t.body, env, gen))
-    return ppar(*(_named(c, env, gen) for c in t.children))
+    return _par_fold(t, lambda c: _named(c, env, gen), lambda p, kids: ppar(*kids))
 
 
 def _fn_named(t: PiTerm) -> frozenset:
@@ -297,20 +333,19 @@ def _simp(t: PiTerm) -> PiTerm:
 def _hoist(t: PiTerm) -> tuple:
     """Split a named term into (restricted atoms, parallel items), hoisting
     restrictions through parallel composition only (never past a guard)."""
-    if isinstance(t, PNil):
-        return ([], [])
-    if isinstance(t, PNew):
-        binders, items = _hoist(t.body)
-        return ([t.binder] + binders, items)
-    if isinstance(t, PPar):
-        all_binders: list = []
-        all_items: list = []
-        for c in t.children:
-            b, i = _hoist(c)
-            all_binders.extend(b)
-            all_items.extend(i)
-        return (all_binders, all_items)
-    return ([], [t])
+    binders: list = []
+    items: list = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, PNew):
+            binders.append(x.binder)
+            todo.append(x.body)
+        elif isinstance(x, PPar):
+            todo.extend(reversed(x.children))
+        elif not isinstance(x, PNil):
+            items.append(x)
+    return (binders, items)
 
 
 def _scope_split(binders: list, items: list) -> PiTerm:
@@ -449,7 +484,7 @@ def rename_atom(t: PiTerm, new: str, old: str) -> PiTerm:
         return t if t.binder == old else pnew(t.binder, rename_atom(t.body, new, old))
     if isinstance(t, PRepl):
         return prepl(rename_atom(t.body, new, old))
-    return ppar(*(rename_atom(c, new, old) for c in t.children))
+    return _par_fold(t, lambda c: rename_atom(c, new, old), lambda p, kids: ppar(*kids))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +633,7 @@ def pi_step(t: PiTerm) -> list:
                     del kids[min(gi, gj)]
                 for x in part:
                     insort(kids, x, key=_BY_KEY)
-                succ = ppar(*kids)
+                succ = _canon_sorted_ppar(kids)
                 if succ not in seen:
                     _PI_CANON[succ] = succ
                     seen.add(succ)
@@ -721,5 +756,9 @@ def _show(x: PiTerm, free: frozenset) -> str:
         return f"new {_show_name(x.binder, free)}.{_bracketed(x.body, free, PPar)}"
     if isinstance(x, PRepl):
         return f"!{_bracketed(x.body, free, _COMPOUND)}"
-    return " | ".join(_bracketed(c, free, _COMPOUND) for c in x.children)
+    return _par_fold(
+        x,
+        lambda c: _bracketed(c, free, _COMPOUND),
+        lambda p, shown: " | ".join(f"({s})" if isinstance(c, PPar) else s for c, s in zip(p.children, shown)),
+    )
 

@@ -16,17 +16,18 @@ The continuation P{@Q / y} depends only on the interned pair of input and
 lift nodes, never on the rest of the state, so its canonical components are
 computed once per pair and memoised.  A successor is then the rest of the
 state plus those components, sorted and interned as a canonical Par; it is
-never canonicalized again.  The sort compares ranks, not keys: every
-component a successor is built from gets a float rank, strictly increasing
-with its key, the first time a sort meets it unranked, so ordering by rank
-is canonical order without comparing nested key tuples.  Unlike a pure memo
-table, the rank table is rewritten in place, so reduction must not run in
-several threads at once.  Canonical order puts equal components next to
-each other, so ``step`` leaves out of its redex search every component that
-is the same node as its left neighbour: its pairs repeat the neighbour's.
-A search (``explore`` with a stop predicate) reads states, not edges, so
-``search_step`` also skips each commuting redex whose reduct the search
-already holds, and finds the same states.
+never canonicalized again, and as nothing sorts a whole state, its own key
+is built only if something reads it.  The sort compares ranks, not keys:
+every component a successor is built from gets a float rank, strictly
+increasing with its key, the first time a sort meets it unranked, so
+ordering by rank is canonical order without comparing nested key
+tuples.  Unlike a pure memo table, the rank table is rewritten in place, so
+reduction must not run in several threads at once.  Canonical order puts
+equal components next to each other, so ``step`` leaves out of its redex
+search every component that is the same node as its left neighbour: its
+pairs repeat the neighbour's.  A search (``explore`` with a stop predicate)
+reads states, not edges, so ``search_step`` also skips each commuting redex
+whose reduct the search already holds, and finds the same states.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on

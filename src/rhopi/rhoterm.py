@@ -107,7 +107,9 @@ class RhoTerm:
     ``inp``, ``drop``, ``quote``, ``marker``); they intern every node, so
     structurally equal trees are the same object, and ``object``'s identity
     ``==`` and ``hash`` are the term's.  ``key`` is a nested tuple realizing
-    the total term order used for sorting parallel children.
+    the total term order used for sorting parallel children, built at
+    construction, except for a state built by ``canon_sorted_par``, which
+    builds it when first read.
     """
 
     __slots__ = ("key",)
@@ -134,6 +136,13 @@ class Nil(RhoProc):
 class Par(RhoProc):
     __slots__ = ("children",)
     children: tuple[RhoProc, ...]
+
+    def __getattr__(self, name: str):
+        # an unset key, of a canon_sorted_par state: no child is a Par
+        if name != "key":
+            raise AttributeError(name)
+        self.key = key = (4, *(c.key for c in self.children))
+        return key
 
 
 class Lift(RhoProc):
@@ -172,15 +181,17 @@ class BoundMarker(RhoName):
 _INTERN: dict = {}
 
 
-def _mk(cls, ident, fields: tuple, key: tuple):
+def _mk(cls, ident, fields: tuple, key: Optional[tuple]):
     """Intern a node of class cls with the given fields and sort key under
     ident; the caller found no entry for ident in ``_INTERN``.  Most nodes a
     reduction builds are interned already, so each factory looks ident up
-    first and builds the sort key only on a miss."""
+    first and builds the sort key only on a miss.  A key of None leaves the
+    slot unset, for ``Par.__getattr__`` to build when first read."""
     node = cls.__new__(cls)
     for slot, value in zip(cls.__slots__, fields):
         setattr(node, slot, value)
-    node.key = key
+    if key is not None:
+        node.key = key
     return _INTERN.setdefault(ident, node)
 
 
@@ -336,7 +347,8 @@ def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
     canonical top-level components (no 0, no Par): 0 for none, the child
     itself for one, else their interned Par: one lookup if it is known, else
     built and recorded once as its own canonical form (a Par that ``par``
-    interned is only a memo miss; ``_canon`` finds it itself)."""
+    interned is only a memo miss; ``_canon`` finds it itself).  A Par built
+    here builds its key when first read, from its children's keys."""
     if not kids:
         return _NIL_NODE
     if len(kids) == 1:
@@ -344,7 +356,7 @@ def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
     kids = tuple(kids)
     out = _INTERN.get(kids)
     if out is None:
-        out = _mk(Par, kids, (kids,), (4, *(c.key for c in kids)))
+        out = _mk(Par, kids, (kids,), None)
         _CANON_PROC[out] = out
     return out
 
@@ -599,7 +611,8 @@ def gen_fresh(avoid: Iterable[RhoName]) -> RhoName:
 def gen_fresh_sorted(ordered: Sequence[RhoName], avoid_set: set | frozenset) -> RhoName:
     """``gen_fresh`` of a set of canonical names that ordered lists in key
     order, so a caller that grows the set sorts it once (each x!(0) of a
-    canonical x is canonical, and sorts as its x)."""
+    canonical x is canonical, and sorts as its x).  The quote reads the
+    key of the Par, so the Par gets its key at once."""
     candidate = canon_name(quote(canon_sorted_par([lift(a, _NIL_NODE) for a in ordered])))
     while candidate in avoid_set:
         candidate = lincr(candidate)

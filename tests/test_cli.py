@@ -498,6 +498,15 @@ def test_deeply_nested_terms_are_a_usage_error(capsys):
                 assert "too deeply" in json.loads(out)["error"]
 
 
+def test_wide_pi_parallels_in_two_orders_are_bisimilar_unexplored(capsys):
+    # 2,000 components, which the parser nests one PPar deep each
+    texts = [" | ".join(f"a{i}!b" for i in order) for order in (range(2000), reversed(range(2000)))]
+    code, out, _ = run(capsys, "bisim", "--calculus", "pi", *texts)
+    assert code == 0 and out.strip() == "bisimilar"
+    code, out, _ = run(capsys, "bisim", "--calculus", "pi", *texts, "--json")
+    assert code == 0 and json.loads(out)["states"] == [1, 1]
+
+
 # ---------------------------------------------------------------------------
 # Term files
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhopi
-from rhopi import equiv
+from rhopi import equiv, piterm
 from rhopi.encode import encode_mr, encode_ns
 from rhopi.equiv import (
     BisimVerdict,
@@ -44,6 +44,8 @@ from rhopi.cli import parse_pi
 from rhopi.harness import check_criteria
 from rhopi.lts import explore
 from rhopi.piterm import (
+    PiTerm,
+    PPar,
     pi_barbs,
     pi_canon,
     pi_step,
@@ -605,6 +607,36 @@ def _shown(report: BisimReport) -> list:
     if w and "to_state" in w:
         w["to_state"] = show_pi(w["to_state"])
     return [report.verdict.value, report.blocks, w]
+
+
+def test_pi_kernel_states_leave_their_key_unset_until_it_is_read(monkeypatch):
+    slot = PiTerm.__dict__["key"]  # hasattr would build a missing key
+
+    def key_is_set(node) -> bool:
+        try:
+            slot.__get__(node)
+        except AttributeError:
+            return False
+        return True
+
+    built = {}
+    make = piterm._canon_sorted_ppar
+
+    def recording(kids):
+        state = make(kids)
+        built[id(state)] = state
+        return state
+
+    monkeypatch.setattr(piterm, "_canon_sorted_ppar", recording)
+    rhopi.clear_caches()  # a graph kept from an earlier check would not be stepped
+    p, q = map(parse_pi, _handshake_family()(3, 1))
+    pi_barbed_bisim(p, q, weak=False)
+    pars = [n for n in built.values() if type(n) is PPar]
+    unkeyed = [n for n in pars if not key_is_set(n)]
+    assert len(unkeyed) > len(pars) / 2
+    for n in unkeyed:
+        assert n.key == (5, *(c.key for c in n.children))
+        assert key_is_set(n)
 
 
 def test_handshake_reports_are_pinned():

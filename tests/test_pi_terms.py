@@ -226,6 +226,24 @@ def test_named_resolves_to_the_innermost_binder():
     assert named(t, "q") is pin("x", "~q0", pin("~q0", "~q1", pout("~q1", "x")))
 
 
+def wide_text(order) -> str:
+    return " | ".join(f"a{i}!b" for i in order)
+
+
+def test_a_wide_parallel_as_written_is_walked_without_recursion():
+    # the parser nests | to the left: one PPar per component
+    left, right = parse_pi(wide_text(range(2000))), parse_pi(wide_text(reversed(range(2000))))
+    canon = pi_canon(left)
+    assert left is not right and pi_canon(right) is canon
+    assert len(canon.children) == 2000
+    assert pi_canon(parse_pi(show_pi(canon))) is canon
+    assert show_pi(left).count(" | ") == 1999
+    assert len(pi_free_names(left)) == 2001
+    # named and rename_atom keep the nesting as written
+    assert named(left) is left
+    assert rename_atom(left, "z", "b") is parse_pi(wide_text(range(2000)).replace("!b", "!z"))
+
+
 # ---------------------------------------------------------------------------
 # Incremental successors agree with whole-state reduction
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhopi
-from rhopi import equiv, harness, lts
+from rhopi import equiv, harness, lts, piterm, rhoreduce
 from rhopi.piterm import (
     _PINTERN,
     PiMarker,
@@ -24,6 +24,7 @@ from rhopi.piterm import (
     PPar,
     PRepl,
     pimarker,
+    pnil,
     pout,
     ppar,
     prepl,
@@ -271,7 +272,8 @@ def test_gen_fresh_chains_are_pairwise_distinct():
 
 
 # ---------------------------------------------------------------------------
-# Interning: a Par is looked up first, its key and hash built only on a miss
+# Interning: a Par is looked up first, its key and hash built only on a miss;
+# a state from a successor kernel builds its key only when it is read
 # ---------------------------------------------------------------------------
 
 
@@ -290,7 +292,18 @@ def _reachable(roots, base):
     return list(found.values())
 
 
-def test_interned_pars_carry_the_eagerly_built_key(monkeypatch):
+def _key_is_set(node) -> bool:
+    """Whether node's key slot holds a key; the slot descriptor reads it
+    without building it, where ``hasattr`` would build a missing one."""
+    slot = (RhoTerm if isinstance(node, RhoTerm) else PiTerm).__dict__["key"]
+    try:
+        slot.__get__(node)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_interned_pars_carry_their_key_once_read(monkeypatch):
     states = []
 
     def recording(step):
@@ -313,6 +326,55 @@ def test_interned_pars_carry_the_eagerly_built_key(monkeypatch):
         for n in nodes:
             assert n.key == (tag, *(c.key for c in n.children))
             assert table[n.children] is n
+
+
+def test_kernel_states_leave_their_key_unset_until_it_is_read(monkeypatch):
+    built = {}
+
+    def recording(kids):
+        state = canon_sorted_par(kids)
+        built[id(state)] = state
+        return state
+
+    monkeypatch.setattr(rhoreduce, "canon_sorted_par", recording)
+    harness.repro_cex2()
+    pars = [n for n in built.values() if type(n) is Par]
+    unkeyed = [n for n in pars if not _key_is_set(n)]
+    assert len(unkeyed) > len(pars) / 2
+    for n in unkeyed:
+        assert n.key == (4, *(c.key for c in n.children))
+        assert _key_is_set(n)
+
+
+def test_sorted_and_written_constructors_give_one_node_whichever_comes_first():
+    for k, lazy_first in enumerate((True, False)):
+        m = marker(920_000 + k)
+        kids = (drop(m), lift(m, nil()))  # key order: a drop sorts before a lift
+        pkids = (pout(f"sorted{k}", "a"), pout(f"sorted{k}", "b"))
+        for lazy, written, args, tag in (
+            (canon_sorted_par, par, kids, 4),
+            (piterm._canon_sorted_ppar, ppar, pkids, 5),
+        ):
+            assert args not in _INTERN and args not in _PINTERN
+            if lazy_first:
+                node = lazy(list(args))
+                assert not _key_is_set(node)
+                assert written(*args) is node and not _key_is_set(node)
+            else:
+                node = written(*args)
+                assert _key_is_set(node)
+                assert lazy(list(args)) is node
+            assert node.key == (tag, *(c.key for c in args))
+
+
+def test_keys_of_deep_chains_built_as_written_read_without_recursion():
+    # par and ppar build a key eagerly, from keys already built, so no lazily
+    # keyed node has a lazily keyed child, and reading a key never recurses
+    p, t = nil(), pnil()
+    for k in range(3000):
+        p = par(lift(marker(930_000 + k), nil()), p)
+        t = ppar(pout(f"deep{k}", "b"), t)
+    assert p.key[0] == 4 and t.key[0] == 5
 
 
 def test_rebuilt_trees_are_the_same_object_and_hash_by_identity():
