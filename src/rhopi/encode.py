@@ -111,31 +111,27 @@ class RenamingPolicy:
 
     def scan(self, term: PiTerm) -> None:
         """Assign names to every atom of term (free and binding) in
-        syntactic first-occurrence order."""
-        if isinstance(term, PNil):
-            return
-        if isinstance(term, POut):
-            for n in (term.subject, term.obj):
+        syntactic first-occurrence order.  Walks with an explicit stack, so
+        a wide parallel does not recurse."""
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, PPar):
+                todo.extend(reversed(t.children))
+                continue
+            if isinstance(t, POut):
+                names = (t.subject, t.obj)
+            elif isinstance(t, PIn):
+                names = (t.subject, t.binder)
+            elif isinstance(t, PNew):
+                names = (t.binder,)
+            else:
+                names = ()
+            for n in names:
                 if isinstance(n, str):
                     self.name_for(n)
-            return
-        if isinstance(term, PIn):
-            if isinstance(term.subject, str):
-                self.name_for(term.subject)
-            if isinstance(term.binder, str):
-                self.name_for(term.binder)
-            self.scan(term.body)
-            return
-        if isinstance(term, PNew):
-            if isinstance(term.binder, str):
-                self.name_for(term.binder)
-            self.scan(term.body)
-            return
-        if isinstance(term, PRepl):
-            self.scan(term.body)
-            return
-        for c in term.children:
-            self.scan(c)
+            if isinstance(t, (PIn, PNew, PRepl)):
+                todo.append(t.body)
 
     def image(self) -> frozenset:
         return frozenset(self._map.values())
@@ -302,6 +298,8 @@ def translate_ns(
     derivation path (root (), then 'L'/'R' for the two sides of a parallel
     split and 'C' for the composed parameter of restriction and replication
     bodies) — the distinctness audit for these is a correctness criterion.
+    The parallel spine is walked with an explicit stack, left side first,
+    so a wide parallel does not recurse; only prefixes do.
     """
     if derivations is not None and _path not in derivations:
         derivations[_path] = canon_name(n)
@@ -319,10 +317,24 @@ def translate_ns(
             translate_ns(term.body, n, v, policy, derivations, _path),
         )
     if isinstance(term, PPar):
-        kids = term.children
-        left = translate_ns(kids[0], lincr(n), v, policy, derivations, _path + ("L",))
-        right = translate_ns(ppar(*kids[1:]), rincr(n), v, policy, derivations, _path + ("R",))
-        return par(left, right)
+        done: list = []  # translated sides, each split's left below its right
+        todo: list = [(term, n, _path)]
+        while todo:
+            item = todo.pop()
+            if item is None:  # both sides of a split are done
+                right = done.pop()
+                done[-1] = par(done[-1], right)
+                continue
+            t, m, path = item
+            if not isinstance(t, PPar):
+                done.append(translate_ns(t, m, v, policy, derivations, path))
+                continue
+            if derivations is not None and path not in derivations:
+                derivations[path] = canon_name(m)
+            todo.append(None)
+            todo.append((ppar(*t.children[1:]), rincr(m), path + ("R",)))
+            todo.append((t.children[0], lincr(m), path + ("L",)))
+        return done[0]
     if isinstance(term, PNew):
         _need_atoms(term.binder)
         body = translate_ns(

@@ -297,22 +297,15 @@ def _pi_flag_search(root, subject: str, max_states: int, max_depth: int) -> Barb
     )
 
 
-def _lifts_on(state, subject) -> bool:
-    """Has state a top-level lift on the canonical name subject?"""
-    for c in components(state):
-        if isinstance(c, Lift) and c.subject is subject:
-            return True
-    return False
-
-
 def _rho_flag_search(root, subject, max_states: int, max_depth: int) -> BarbSearch:
     """Does the reflective state root, or some reduct of it, output on
-    subject?  The search skips commuting redexes (``search_step``)."""
-    subject = canon_name(subject)
+    subject?  The search skips commuting redexes and reads each reduct's
+    flag off its continuation (``search_step``)."""
+    search = search_step(canon_name(subject))
     return weak_barb_search(
         root,
-        search_step(),
-        lambda s: _lifts_on(s, subject),
+        search.step,
+        search.flagged,
         max_states=max_states,
         max_depth=max_depth,
     )

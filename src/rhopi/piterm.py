@@ -94,13 +94,18 @@ class PiTerm:
     """Base class for interned pi terms; construct via the factories.  Equal
     trees are the same object, so ``object``'s identity ``==`` and ``hash``
     are the term's.  ``key`` is the sort key of the total term order, built
-    at construction, except for a state built by ``_canon_sorted_ppar``,
-    which builds it when first read."""
+    at construction, except for a state built by ``_canon_sorted_ppar``:
+    ``PPar`` overrides ``key`` with a property that builds an unset key
+    when first read and stores it in this class's slot."""
 
     __slots__ = ("key",)
 
     def __repr__(self) -> str:
         return show_pi(self)
+
+
+# the slot descriptor of ``PiTerm.key``, which ``PPar.key`` reads and writes
+_KEY = PiTerm.__dict__["key"]
 
 
 class PNil(PiTerm):
@@ -111,12 +116,16 @@ class PPar(PiTerm):
     __slots__ = ("children",)
     children: tuple
 
-    def __getattr__(self, name: str):
-        # an unset key, of a _canon_sorted_ppar state: no child is a PPar
-        if name != "key":
-            raise AttributeError(name)
-        self.key = key = (5, *(c.key for c in self.children))
-        return key
+    def _key(self) -> tuple:
+        # unset on a _canon_sorted_ppar state until read: no child is a PPar
+        try:
+            return _KEY.__get__(self)
+        except AttributeError:
+            key = (5, *(c.key for c in self.children))
+            _KEY.__set__(self, key)
+            return key
+
+    key = property(_key, _KEY.__set__)
 
 
 class POut(PiTerm):
@@ -157,16 +166,14 @@ PiName = Union[str, PiMarker]
 _PINTERN: dict = {}
 
 
-def _pmk(cls, ident, fields: tuple, key: Optional[tuple]):
+def _pmk(cls, ident, fields: tuple, key: tuple):
     """Intern a node of class cls with the given fields and sort key under
     ident; the caller found no entry for ident in ``_PINTERN`` (each factory
-    looks ident up first, as ``rhoterm``'s do).  A key of None leaves the
-    slot unset, for ``PPar.__getattr__`` to build when first read."""
+    looks ident up first, as ``rhoterm``'s do)."""
     node = cls.__new__(cls)
     for slot, value in zip(cls.__slots__, fields):
         setattr(node, slot, value)
-    if key is not None:
-        node.key = key
+    node.key = key
     return _PINTERN.setdefault(ident, node)
 
 
@@ -222,7 +229,14 @@ def _canon_sorted_ppar(kids: list) -> PiTerm:
     """``ppar(*kids)`` of key-sorted canonical top-level children (no 0, no
     PPar); as in ``rhoterm.canon_sorted_par``, a new PPar builds its key on read."""
     kids = tuple(kids)
-    return ppar(*kids) if len(kids) < 2 else _PINTERN.get(kids) or _pmk(PPar, kids, (kids,), None)
+    if len(kids) < 2:
+        return ppar(*kids)
+    out = _PINTERN.get(kids)
+    if out is None:
+        out = PPar.__new__(PPar)
+        out.children = kids
+        out = _PINTERN.setdefault(kids, out)
+    return out
 
 
 def _par_fold(t: PPar, leaf, node):

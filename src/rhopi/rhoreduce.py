@@ -27,7 +27,15 @@ equal components next to each other, so ``step`` leaves out of its redex
 search every component that is the same node as its left neighbour: its
 pairs repeat the neighbour's.  A search (``explore`` with a stop predicate)
 reads states, not edges, so ``search_step`` also skips each commuting redex
-whose reduct the search already holds, and finds the same states.
+whose reduct the search already holds, and finds the same states.  It
+records, for each reduct, the input and the continuation that made it.
+The one pass that pairs a reduct's inputs and lifts reads off that record
+which redexes are awake: an end in the continuation, or an input ranked at
+or above the recorded one.  The search's stop predicate reads the flag off
+it too: the reduct's parent was expanded, so the predicate refused it, and
+removing the consumed input and lift adds no lift, so the reduct outputs on
+the searched subject exactly when its continuation does.  That predicate is
+valid only as the stop predicate of the same ``explore`` run.
 
 Observations (barbs) are the commitments visible at the surface: a top-level
 lift is an output barb on its subject, a top-level input an input barb on
@@ -61,6 +69,7 @@ __all__ = [
     "apply_redex",
     "step",
     "search_step",
+    "FlagSearch",
     "barbs",
     "OUT",
     "IN",
@@ -94,24 +103,33 @@ class Redex(NamedTuple):
     subject: RhoName
 
 
-def _pairs(comps: tuple, distinct: bool = False) -> list:
+def _pairs(comps: tuple, distinct: bool = False, top: Optional[float] = None, cont: tuple = ()) -> list:
     """(i, j) for every input comps[i] and lift comps[j] on the same
     canonical subject, in (input position, lift position) order.  With
     distinct, a component that is the same node as its left neighbour is
-    left out: its pairs repeat the neighbour's."""
+    left out: its pairs repeat the neighbour's.  With a sleep bound top (a
+    rank) and a continuation cont, a pair is kept only if one end is awake:
+    an input ranked at or above top (an unranked one is) or in cont, or a
+    lift in cont (see ``search_step``)."""
     ins = []
     lifts: dict = {}
     prev = None
+    rank = _RANK.get
     for k, c in enumerate(comps):
         if c is prev and distinct:
             continue
         prev = c
         if isinstance(c, Input):
-            ins.append(k)
+            ins.append((k, top is None or not rank(c, top) < top or c in cont))
         elif isinstance(c, Lift):
             lifts.setdefault(c.subject, []).append(k)
     # canonical names: identity is equivalence
-    return [(i, j) for i in ins for j in lifts.get(comps[i].subject, ())]
+    return [
+        (i, j)
+        for i, awake in ins
+        for j in lifts.get(comps[i].subject, ())
+        if awake or comps[j] in cont
+    ]
 
 
 def redexes(p: RhoProc) -> list:
@@ -204,10 +222,22 @@ def step(p: RhoProc) -> list:
     return _successors(comps, _pairs(comps, distinct=True))
 
 
-def search_step() -> Callable[[RhoProc], list]:
-    """A fresh step function for one search, ``explore(root, search_step(),
-    stop=...)``: ``step`` less the commuting redexes whose reducts the
-    search already holds (Godefroid's sleep sets, LNCS 1032).
+class FlagSearch(NamedTuple):
+    """One flag search: ``explore(root, fs.step, stop=fs.flagged)``, or
+    ``weak_barb_search(root, fs.step, fs.flagged, ...)``.  The predicate
+    reads the step's record of where each reduct came from, so it is valid
+    only as the stop predicate of the run that calls that step (see
+    ``search_step``)."""
+
+    step: Callable[[RhoProc], list]
+    flagged: Callable[[RhoProc], bool]
+
+
+def search_step(subject: RhoName) -> FlagSearch:
+    """A fresh step and stop predicate for one search for a lift on the
+    canonical name subject: the step is ``step`` less the commuting redexes
+    whose reducts the search already holds (Godefroid's sleep sets, LNCS
+    1032), and the predicate reads the flag off each reduct's continuation.
 
     A reduct t records the input node it and the continuation C of the pair
     (it, lt) that first produced it in this search, from its parent p: t is
@@ -227,27 +257,33 @@ def search_step() -> Callable[[RhoProc], list]:
     admits the same states in the same order, at the same depths from the
     same parents, and ends with the same hit, truncated and
     truncated_reason; only the graph's edges shrink.  A graph (no stop)
-    needs every edge and expands its depth-bound states: use ``step``."""
+    needs every edge and expands its depth-bound states: use ``step``.
+
+    The flag: explore expands p only after the predicate refused it, so p
+    has no lift on subject, and removing it and lt adds none; so t has one
+    exactly when C has one.  Only a state with no record (the root) is
+    scanned in full.  A record is written only by the step, so the
+    predicate is valid as the stop predicate of the explore run that calls
+    this step, not on its own."""
     first: dict = {}
 
+    def flagged(t: RhoProc) -> bool:
+        origin = first.get(t)
+        for c in components(t) if origin is None else origin[1]:
+            if isinstance(c, Lift) and c.subject is subject:
+                return True
+        return False
+
     def search(t: RhoProc) -> list:
-        comps = components(t)
-        pairs = _pairs(comps, distinct=True)
         # t is expanded once, so its entry goes: the map holds the frontier
         origin = first.pop(t, None)
-        top = None if origin is None else _RANK.get(origin[0])
-        if top is not None:
-            rank, cont = _RANK.get, origin[1]
-            pairs = [
-                (i, j)
-                for i, j in pairs
-                if not rank(comps[i], top) < top
-                or comps[i] in cont
-                or comps[j] in cont
-            ]
-        return _successors(comps, pairs, first)
+        if origin is None:
+            comps, top, cont = components(t), None, ()
+        else:  # a canon_sorted_par result: canonical already
+            comps, top, cont = _parts(t), _RANK.get(origin[0]), origin[1]
+        return _successors(comps, _pairs(comps, True, top, cont), first)
 
-    return search
+    return FlagSearch(search, flagged)
 
 
 def barbs(p: RhoProc, restrict: Optional[Iterable[RhoName]] = None) -> frozenset:

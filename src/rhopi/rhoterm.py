@@ -108,11 +108,16 @@ class RhoTerm:
     structurally equal trees are the same object, and ``object``'s identity
     ``==`` and ``hash`` are the term's.  ``key`` is a nested tuple realizing
     the total term order used for sorting parallel children, built at
-    construction, except for a state built by ``canon_sorted_par``, which
-    builds it when first read.
+    construction, except for a state built by ``canon_sorted_par``: ``Par``
+    overrides ``key`` with a property that builds an unset key when first
+    read and stores it in this class's slot.
     """
 
     __slots__ = ("key",)
+
+
+# the slot descriptor of ``RhoTerm.key``, which ``Par.key`` reads and writes
+_KEY = RhoTerm.__dict__["key"]
 
 
 class RhoProc(RhoTerm):
@@ -137,12 +142,16 @@ class Par(RhoProc):
     __slots__ = ("children",)
     children: tuple[RhoProc, ...]
 
-    def __getattr__(self, name: str):
-        # an unset key, of a canon_sorted_par state: no child is a Par
-        if name != "key":
-            raise AttributeError(name)
-        self.key = key = (4, *(c.key for c in self.children))
-        return key
+    def _key(self) -> tuple:
+        # unset on a canon_sorted_par state until read: no child is a Par
+        try:
+            return _KEY.__get__(self)
+        except AttributeError:
+            key = (4, *(c.key for c in self.children))
+            _KEY.__set__(self, key)
+            return key
+
+    key = property(_key, _KEY.__set__)
 
 
 class Lift(RhoProc):
@@ -181,17 +190,15 @@ class BoundMarker(RhoName):
 _INTERN: dict = {}
 
 
-def _mk(cls, ident, fields: tuple, key: Optional[tuple]):
+def _mk(cls, ident, fields: tuple, key: tuple):
     """Intern a node of class cls with the given fields and sort key under
     ident; the caller found no entry for ident in ``_INTERN``.  Most nodes a
     reduction builds are interned already, so each factory looks ident up
-    first and builds the sort key only on a miss.  A key of None leaves the
-    slot unset, for ``Par.__getattr__`` to build when first read."""
+    first and builds the sort key only on a miss."""
     node = cls.__new__(cls)
     for slot, value in zip(cls.__slots__, fields):
         setattr(node, slot, value)
-    if key is not None:
-        node.key = key
+    node.key = key
     return _INTERN.setdefault(ident, node)
 
 
@@ -356,7 +363,9 @@ def canon_sorted_par(kids: Sequence[RhoProc]) -> RhoProc:
     kids = tuple(kids)
     out = _INTERN.get(kids)
     if out is None:
-        out = _mk(Par, kids, (kids,), None)
+        out = Par.__new__(Par)
+        out.children = kids
+        out = _INTERN.setdefault(kids, out)
         _CANON_PROC[out] = out
     return out
 
@@ -655,7 +664,24 @@ def show_name(x: RhoName) -> str:
 
 def show_proc(p: RhoProc, name: Callable[[RhoName], str] = show_name) -> str:
     """Concrete syntax for a process; parses back to the same canonical term.
-    name renders each name position (binders included)."""
+    name renders each name position (binders included), left to right.  A
+    nested parallel spine is walked with an explicit stack, so a wide
+    parallel does not recurse."""
+    if isinstance(p, Par):
+        out, todo = [], [p]  # todo: nodes and literal text, last first
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif isinstance(x, Par):
+                kids = x.children
+                for k in range(len(kids) - 1, -1, -1):
+                    todo += (")", kids[k], "(") if isinstance(kids[k], Par) else (kids[k],)
+                    if k:
+                        todo.append(" | ")
+            else:
+                out.append(show_proc(x, name))
+        return "".join(out)
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Drop):
@@ -667,7 +693,4 @@ def show_proc(p: RhoProc, name: Callable[[RhoName], str] = show_name) -> str:
         if isinstance(p.body, Par):
             body = f"({body})"
         return f"{name(p.subject)}?({name(p.binder)}).{body}"
-    return " | ".join(
-        f"({show_proc(c, name)})" if isinstance(c, Par) else show_proc(c, name)
-        for c in p.children
-    )
+    raise TypeError(f"not a process: {p!r}")

@@ -615,3 +615,35 @@ def reference_blocks(n: int, edges: list, barbs: list, weak: bool) -> list:
         if nxt == blocks:
             return blocks
         blocks = nxt
+
+
+# ---------------------------------------------------------------------------
+# Redex pairs of a search state, with sleeping pairs dropped
+# ---------------------------------------------------------------------------
+
+
+def reference_sleep_pairs(comps: list, top=None) -> list:
+    """Redex pairs of a state in two passes: pair, then drop sleeping pairs.
+
+    comps lists the state's components in order, each a record (ident, kind,
+    subject, rank, in_cont): kind "in", "lift" or anything else; rank a
+    number or None; in_cont whether it lies in the continuation that made
+    the state.  A component whose ident equals its left neighbour's is left
+    out.  First every (i, j) with comps[i] an input and comps[j] a lift on
+    the same subject, in (i, j) order; then, given top, a pair whose input
+    has a rank below top and whose input and lift both lie outside the
+    continuation is dropped."""
+    pairs = []
+    for i, (ident, kind, subject, _, _) in enumerate(comps):
+        if kind != "in" or (i and comps[i - 1][0] == ident):
+            continue
+        for j, (ident_j, kind_j, subject_j, _, _) in enumerate(comps):
+            if kind_j == "lift" and subject_j == subject and not (j and comps[j - 1][0] == ident_j):
+                pairs.append((i, j))
+    if top is None:
+        return pairs
+    return [
+        (i, j)
+        for i, j in pairs
+        if comps[i][3] is None or comps[i][3] >= top or comps[i][4] or comps[j][4]
+    ]

@@ -507,6 +507,18 @@ def test_wide_pi_parallels_in_two_orders_are_bisimilar_unexplored(capsys):
     assert code == 0 and json.loads(out)["states"] == [1, 1]
 
 
+def test_wide_pi_parallels_encode(capsys):
+    # 2,000 components over a few atoms: the k-th atom's name nests k quotes
+    # deep, so it is the width, not the names, that must not recurse
+    text = " | ".join(f"a{i % 5}?(x).b{i % 3}!x" for i in range(2000))
+    code, out, _ = run(capsys, "encode", text)
+    assert code == 0
+    translation = out.splitlines()[0]
+    assert translation.count("?(") == 2000 and translation.count("!(") == 2000
+    code, out, _ = run(capsys, "encode", text, "--json")
+    assert code == 0 and json.loads(out)["translation"] == translation
+
+
 # ---------------------------------------------------------------------------
 # Term files
 # ---------------------------------------------------------------------------

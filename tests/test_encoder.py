@@ -20,11 +20,12 @@ from rhopi.encode import (
     translate_mr,
     translate_ns,
 )
-from rhopi.harness import Corpus, check_criteria
-from rhopi.piterm import pi_canon, pin, pnew, pnil, pout, ppar, prepl
+from rhopi.harness import Corpus, check_criteria, make_corpus
+from rhopi.piterm import PIn, PNew, POut, PPar, PRepl, pi_canon, pin, pnew, pnil, pout, ppar, prepl
 from rhopi.rhoterm import (
     NULL_NAME,
     Input,
+    canon_name,
     Lift,
     canon_proc,
     drop,
@@ -280,6 +281,59 @@ def test_translation_records_one_parameter_per_derivation_path():
     assert name_eq(
         enc.derivations[("R", "C")], ncomp(rincr(enc.params.n), rincr(enc.params.n))
     )
+
+
+def recursive_scan(policy, term) -> None:
+    """RenamingPolicy.scan as a recursion over the term."""
+    for n in {POut: ("subject", "obj"), PIn: ("subject", "binder"), PNew: ("binder",)}.get(type(term), ()):
+        if isinstance(getattr(term, n), str):
+            policy.name_for(getattr(term, n))
+    if isinstance(term, (PIn, PNew, PRepl)):
+        recursive_scan(policy, term.body)
+    for c in getattr(term, "children", ()):
+        recursive_scan(policy, c)
+
+
+def recursive_translate_ns(term, n, v, policy, derivations, path=()):
+    """translate_ns as a recursion that splits each parallel into its first
+    child (at path + L) and the parallel of the rest (at path + R)."""
+    derivations.setdefault(path, canon_name(n))
+    if isinstance(term, PPar):
+        kids = term.children
+        left = recursive_translate_ns(kids[0], lincr(n), v, policy, derivations, path + ("L",))
+        right = recursive_translate_ns(ppar(*kids[1:]), rincr(n), v, policy, derivations, path + ("R",))
+        return par(left, right)
+    if isinstance(term, PIn):
+        body = recursive_translate_ns(term.body, n, v, policy, derivations, path)
+        return inp(policy.name_for(term.subject), policy.name_for(term.binder), body)
+    if isinstance(term, (PNew, PRepl)):
+        # the clauses below a binder, split into a prefix and the body's
+        # translation at the composed parameter
+        inner = term.body if isinstance(term, PRepl) else term
+        body = recursive_translate_ns(inner.body, ncomp(n, n), v, policy, derivations, path + ("C",))
+        if isinstance(term, PNew):
+            return par(lift(v, drop(n)), inp(n, policy.name_for(term.binder), body))
+        trigger = inp(policy.name_for(inner.subject), policy.name_for(inner.binder), par(copier(n), body))
+        return par(copier(n), lift(n, trigger))
+    if isinstance(term, POut):
+        return lift(policy.name_for(term.subject), drop(policy.name_for(term.obj)))
+    return nil()
+
+
+def test_translation_equals_the_recursive_form_on_the_criteria_corpus():
+    terms = [t for seed in (1, 2) for t in make_corpus(seed=seed, count=50, size_limit=20).terms]
+    assert len(terms) == 100 and sum(isinstance(t, PPar) for t in terms) > 30
+    for term in terms:
+        pol, ref = RenamingPolicy(), RenamingPolicy()
+        pol.scan(term)
+        recursive_scan(ref, term)
+        assert pol.known_atoms() == ref.known_atoms()
+        params = make_encoding_params(pol)
+        want_paths: dict = {}
+        want = recursive_translate_ns(term, params.n, params.v, ref, want_paths)
+        got_paths: dict = {}
+        assert translate_ns(term, params.n, params.v, pol, got_paths) is want
+        assert list(got_paths.items()) == list(want_paths.items())
 
 
 def test_shared_policy_keeps_encodings_comparable():

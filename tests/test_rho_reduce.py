@@ -3,12 +3,14 @@ equivalent (not merely identical) subjects, payloads splice as written,
 reduction never reaches under guards or quotes, and barbs/redexes are
 computed on canonical component lists."""
 
+import itertools
 import random
 
 import pytest
 
+import oracles
 import rhopi
-from rhopi import equiv, harness
+from rhopi import equiv, harness, rhoreduce
 from rhopi.lts import explore
 from rhopi.rhoreduce import (
     _ORDER,
@@ -24,6 +26,8 @@ from rhopi.rhoreduce import (
 )
 from rhopi.rhoterm import (
     NULL_NAME,
+    Input,
+    Lift,
     Par,
     canon_name,
     canon_proc,
@@ -303,14 +307,14 @@ def states_step_sees(monkeypatch, experiment) -> list:
         reached.append(p)
         return step(p)
 
-    def recording_search_step():
-        search = search_step()
+    def recording_search_step(subject):
+        search = search_step(subject)
 
         def recording_search(p):
             reached.append(p)
-            return search(p)
+            return search.step(p)
 
-        return recording_search
+        return search._replace(step=recording_search)
 
     monkeypatch.setattr(harness, "rho_step", recording_step)
     monkeypatch.setattr(equiv, "rho_step", recording_step)
@@ -441,20 +445,56 @@ def random_concurrent_state(rng):
     return canon_proc(par(*comps))
 
 
-def test_a_search_step_search_equals_a_step_search():
-    reasons, pruned = set(), 0
+def pairs_checked_against_reference(monkeypatch, every: int = 1) -> list:
+    """Check every every-th call of the one-pass ``_pairs``, at call time
+    (a renumbering moves ranks), against the two-pass oracle; the sleep
+    bounds of the checked calls are collected in the list returned."""
+    one_pass = rhoreduce._pairs
+    kinds = {Input: "in", Lift: "lift"}
+    checked, calls = [], itertools.count()
+
+    def checking(comps, distinct=False, top=None, cont=()):
+        got = one_pass(comps, distinct, top, cont)
+        if next(calls) % every == 0:
+            record = [
+                (
+                    id(x) if distinct else k,
+                    kinds.get(type(x)),
+                    getattr(x, "subject", None),
+                    _RANK.get(x),
+                    any(x is y for y in cont),
+                )
+                for k, x in enumerate(comps)
+            ]
+            assert got == oracles.reference_sleep_pairs(record, top)
+            checked.append(top)
+        return got
+
+    monkeypatch.setattr(rhoreduce, "_pairs", checking)
+    return checked
+
+
+def test_a_search_step_search_equals_a_step_search(monkeypatch):
+    checked = pairs_checked_against_reference(monkeypatch)
+    cases = []
     for seed in range(300):
         rng = random.Random(seed)
         root = random_concurrent_state(rng)
         subject = canon_name(rng.choice([xn, yn, zn, c]))
         bounds = {"max_states": rng.randint(1, 80), "max_depth": rng.randint(0, 10)}
+        cases.append((root, subject, bounds))
+    # a root that outputs on its subject from the start: a hit at depth 0
+    cases.append((canon_proc(par(lift(xn, nil()), inp(xn, b, drop(b)), lift(xn, drop(yn)))), xn, {}))
+    reasons, pruned, hits = set(), 0, []
+    for root, subject, bounds in cases:
 
         def flagged(s):
             return ("out", subject) in barbs(s)
 
         full = explore(root, step, stop=flagged, **bounds)
-        got = explore(root, search_step(), stop=flagged, **bounds)
-        assert got.states == full.states, seed
+        search = search_step(subject)
+        got = explore(root, search.step, stop=search.flagged, **bounds)
+        assert got.states == full.states, root
         assert got.depths == full.depths
         assert got.parents == full.parents
         assert (got.hit, got.truncated, got.truncated_reason) == (
@@ -465,5 +505,17 @@ def test_a_search_step_search_equals_a_step_search():
         assert all(set(e) <= set(f) for e, f in zip(got.edges, full.edges))
         reasons.add(full.truncated_reason if full.hit is None else "hit")
         pruned += sum(map(len, full.edges)) - sum(map(len, got.edges))
+        hits.append(got.hit)
     assert reasons == {None, "max_states", "max_depth", "hit"}
     assert pruned > 0
+    # the last root flags at once; others flag a reduct from its continuation
+    assert hits[-1] == 0 and sum(h is not None and h > 0 for h in hits) > 10
+    # every state a search expanded was paired as the oracle pairs it
+    assert sum(top is not None for top in checked) > 1000
+
+
+def test_one_pass_pairs_match_the_reference_on_a_sample_of_cex2(monkeypatch):
+    checked = pairs_checked_against_reference(monkeypatch, every=7)
+    harness.repro_cex2()
+    assert sum(top is not None for top in checked) > 400
+    assert None in checked

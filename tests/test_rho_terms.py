@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rhopi
-from rhopi import equiv, harness, lts, piterm, rhoreduce
+from rhopi import equiv, harness, lts, piterm, rhoreduce, rhoterm
 from rhopi.piterm import (
     _PINTERN,
     PiMarker,
@@ -375,6 +375,21 @@ def test_keys_of_deep_chains_built_as_written_read_without_recursion():
         p = par(lift(marker(930_000 + k), nil()), p)
         t = ppar(pout(f"deep{k}", "b"), t)
     assert p.key[0] == 4 and t.key[0] == 5
+
+
+def test_no_term_class_hooks_attribute_lookup():
+    # a __getattr__ or __getattribute__ on a node class stops CPython from
+    # specializing every attribute read on its instances; a lazy key is a
+    # property on key alone
+    classes = [
+        cls
+        for module in (rhoterm, piterm)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    ]
+    assert Par in classes and PPar in classes
+    assert not [cls for cls in classes if {"__getattr__", "__getattribute__"} & vars(cls).keys()]
+    assert isinstance(vars(Par)["key"], property) and isinstance(vars(PPar)["key"], property)
 
 
 def test_rebuilt_trees_are_the_same_object_and_hash_by_identity():
