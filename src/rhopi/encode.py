@@ -387,7 +387,8 @@ def translate_mr(
     re-binds the parameter names round by round from two supply channels.
     Names derived from the parameters sit under quotes, so the re-binding
     leaves them frozen at their original values — the aliasing the
-    counter-example harness exhibits comes from exactly this.
+    counter-example harness exhibits comes from exactly this.  The parallel
+    spine is walked with an explicit stack, as in ``translate_ns``.
     """
     if isinstance(term, PNil):
         return nil()
@@ -402,10 +403,20 @@ def translate_mr(
             translate_mr(term.body, n, p, policy),
         )
     if isinstance(term, PPar):
-        kids = term.children
-        left = translate_mr(kids[0], lincr(n), lincr(p), policy)
-        right = translate_mr(ppar(*kids[1:]), rincr(n), rincr(p), policy)
-        return par(left, right)
+        done: list = []  # translated sides, each split's left below its right
+        todo: list = [(term, n, p)]
+        while todo:
+            item = todo.pop()
+            if item is None:  # both sides of a split are done
+                right = done.pop()
+                done[-1] = par(done[-1], right)
+            elif isinstance(item[0], PPar):
+                t, m, q = item
+                rest = (ppar(*t.children[1:]), rincr(m), rincr(q))
+                todo += (None, rest, (t.children[0], lincr(m), lincr(q)))
+            else:
+                done.append(translate_mr(*item, policy))
+        return done[0]
     if isinstance(term, PNew):
         _need_atoms(term.binder)
         body = translate_mr(term.body, lincr(n), lincr(p), policy)

@@ -5,11 +5,12 @@ graphs (``Lts``) under a barb observation: states are related when their
 (weak) barb sets agree and every move of one can be matched by the other,
 weakly through any number of reductions.  The checker runs partition
 refinement over the union of the two graphs; in the weak case it refines on
-the strongly-connected-component condensation, where each round gives every
-component the set of blocks it reaches, so a state's reachable set is built
-only to name a witness of a NOT_BISIMILAR verdict.  A truncated
-graph yields Unknown unless a definite distinction survives truncation (a
-barb one side exhibits and the other side provably never reaches).
+the strongly-connected-component condensation, where each component carries
+the barbs and then the blocks it reaches as one int bitmask, so a state's
+reachable set is built only to name a witness of a NOT_BISIMILAR verdict.
+A truncated graph yields Unknown unless a definite distinction survives
+truncation (a barb one side exhibits and the other side provably never
+reaches).
 ``bisim_blocks`` runs the same refinement over any number of graphs and
 returns the blocks, so a caller can ask which states of one graph match a
 state of another without exploring either again.  The rho_/pi_ entry points
@@ -264,9 +265,10 @@ def _refine(states: list, edges: list, barb_fn: Callable, weak: bool) -> tuple:
     closure, and that set is never built: the members of one SCC share
     their closure, hence their weak barbs and their first block, and if
     they share a block they share their signature, hence their next block.
-    So each round gives a component, in completion order, the union of its
-    own block and the reached-block sets of the components it steps to,
-    which is the set of blocks its closure meets.  Refinement only splits
+    So each round gives a component, in completion order, an int bitmask of
+    the blocks its closure meets: the bit of its own block OR-ed with the
+    masks of the components it steps to.  Equal masks are equal block sets,
+    so the numbering is the one sets would give.  Refinement only splits
     blocks, so an unchanged block count is the fixed point."""
     sccs = None
     if weak:
@@ -283,10 +285,12 @@ def _refine(states: list, edges: list, barb_fn: Callable, weak: bool) -> tuple:
     while True:
         if weak:
             reach: list = []
-            get = reach.__getitem__
             for members, succ in zip(comps, comp_succ):
-                reach.append(frozenset((block_of[members[0]],)).union(*map(get, succ)))
-            moves = map(get, comp_of)
+                m = 1 << block_of[members[0]]
+                for c in succ:
+                    m |= reach[c]
+                reach.append(m)
+            moves = map(reach.__getitem__, comp_of)
         else:
             get = block_of.__getitem__
             moves = [frozenset(map(get, row)) for row in edges]
@@ -402,18 +406,27 @@ def weak_observations(states: list, edges: list, barb_fn: Callable) -> list:
 
 
 def _observe(states: list, edges: list, barb_fn: Callable, sccs: tuple) -> list:
-    """``weak_observations`` over the graph's SCCs, ``(comp_of, comps)``."""
+    """``weak_observations`` over the graph's SCCs, ``(comp_of, comps)``.
+    Each barb gets a bit, in first-seen order; a component, in completion
+    order, ORs the bits of its members' barbs with the masks of the
+    components it steps to.  Each distinct mask becomes a frozenset once."""
     comp_of, comps = sccs
-    comp_obs: list = []
-    for ci, members in enumerate(comps):
-        acc: set = set()
+    bit_of: dict = {}  # barb -> its bit
+    comp_mask: list = []
+    for members in comps:
+        comp_mask.append(0)  # so an edge inside the component ORs in 0
+        m = 0
         for u in members:
-            acc |= barb_fn(states[u])
+            for x in barb_fn(states[u]):
+                b = bit_of.get(x)
+                if b is None:
+                    b = bit_of[x] = 1 << len(bit_of)
+                m |= b
             for v in edges[u]:
-                if comp_of[v] != ci:
-                    acc |= comp_obs[comp_of[v]]
-        comp_obs.append(frozenset(acc))
-    return [comp_obs[c] for c in comp_of]
+                m |= comp_mask[comp_of[v]]
+        comp_mask[-1] = m
+    sets = {m: frozenset([x for x, b in bit_of.items() if m & b]) for m in set(comp_mask)}
+    return [sets[comp_mask[c]] for c in comp_of]
 
 
 def graph_barbs(g: Lts, barb_fn: Callable) -> frozenset:

@@ -513,15 +513,24 @@ DERIVED_CACHES = {
 def quote_depth(x: RhoName) -> int:
     """Nesting depth of quotes in a name, invariant under name equivalence:
     the depth of @P is the depth of x when P is congruent to *x, else
-    1 + the depth of P."""
+    1 + the depth of P.  The free names of each quoted body are filled in
+    with an explicit stack, so a deep name does not recurse."""
     cx = canon_name(x)
     if isinstance(cx, BoundMarker):
         return 0
-    cached = _QDEPTH.get(cx)
-    if cached is None:
-        cached = 1 + quote_depth_proc(cx.body)
-        _QDEPTH[cx] = cached
-    return cached
+    todo = [cx]
+    while todo:
+        y = todo[-1]
+        if y in _QDEPTH:
+            todo.pop()
+            continue
+        fns = [z for z in map(canon_name, free_names(y.body)) if not isinstance(z, BoundMarker)]
+        missing = [z for z in fns if z not in _QDEPTH]
+        if missing:
+            todo += missing
+        else:
+            _QDEPTH[todo.pop()] = 1 + max(map(_QDEPTH.__getitem__, fns), default=0)
+    return _QDEPTH[cx]
 
 
 def quote_depth_proc(p: RhoProc) -> int:
@@ -665,23 +674,9 @@ def show_name(x: RhoName) -> str:
 def show_proc(p: RhoProc, name: Callable[[RhoName], str] = show_name) -> str:
     """Concrete syntax for a process; parses back to the same canonical term.
     name renders each name position (binders included), left to right.  A
-    nested parallel spine is walked with an explicit stack, so a wide
-    parallel does not recurse."""
-    if isinstance(p, Par):
-        out, todo = [], [p]  # todo: nodes and literal text, last first
-        while todo:
-            x = todo.pop()
-            if isinstance(x, str):
-                out.append(x)
-            elif isinstance(x, Par):
-                kids = x.children
-                for k in range(len(kids) - 1, -1, -1):
-                    todo += (")", kids[k], "(") if isinstance(kids[k], Par) else (kids[k],)
-                    if k:
-                        todo.append(" | ")
-            else:
-                out.append(show_proc(x, name))
-        return "".join(out)
+    parallel without parallel children prints in one join; a nested
+    parallel spine is walked with an explicit stack, so a wide parallel
+    does not recurse."""
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Drop):
@@ -693,4 +688,21 @@ def show_proc(p: RhoProc, name: Callable[[RhoName], str] = show_name) -> str:
         if isinstance(p.body, Par):
             body = f"({body})"
         return f"{name(p.subject)}?({name(p.binder)}).{body}"
-    raise TypeError(f"not a process: {p!r}")
+    if not isinstance(p, Par):
+        raise TypeError(f"not a process: {p!r}")
+    if Par not in map(type, p.children):
+        return " | ".join([show_proc(c, name) for c in p.children])
+    out, todo = [], [p]  # todo: nodes and literal text, last first
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Par):
+            kids = x.children
+            for k in range(len(kids) - 1, -1, -1):
+                todo += (")", kids[k], "(") if isinstance(kids[k], Par) else (kids[k],)
+                if k:
+                    todo.append(" | ")
+        else:
+            out.append(show_proc(x, name))
+    return "".join(out)

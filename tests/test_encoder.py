@@ -336,6 +336,46 @@ def test_translation_equals_the_recursive_form_on_the_criteria_corpus():
         assert list(got_paths.items()) == list(want_paths.items())
 
 
+def recursive_translate_mr(term, n, p, policy):
+    """translate_mr as a recursion that splits each parallel into its first
+    child (at the left increments of n and p) and the parallel of the rest
+    (at the right increments)."""
+    name = policy.name_for
+    if isinstance(term, PPar):
+        kids = term.children
+        left = recursive_translate_mr(kids[0], lincr(n), lincr(p), policy)
+        right = recursive_translate_mr(ppar(*kids[1:]), rincr(n), rincr(p), policy)
+        return par(left, right)
+    if isinstance(term, PIn):
+        return inp(name(term.subject), name(term.binder), recursive_translate_mr(term.body, n, p, policy))
+    if isinstance(term, PNew):
+        body = recursive_translate_mr(term.body, lincr(n), lincr(p), policy)
+        return par(inp(p, name(term.binder), body), lift(p, drop(n)))
+    if isinstance(term, PRepl):
+        a = ncomp(n, p)
+        round_body = par(
+            recursive_translate_mr(term.body, n, p, policy),
+            copier(a),
+            lift(rincr(n), lift(n, drop(n))),
+            lift(rincr(p), lift(p, drop(p))),
+        )
+        machine = inp(rincr(n), n, inp(rincr(p), p, round_body))
+        return par(lift(a, machine), copier(a), lift(rincr(n), drop(lincr(n))), lift(rincr(p), drop(lincr(p))))
+    if isinstance(term, POut):
+        return lift(name(term.subject), drop(name(term.obj)))
+    return nil()
+
+
+def test_legacy_translation_equals_the_recursive_form_on_the_criteria_corpus():
+    terms = [t for seed in (1, 2) for t in make_corpus(seed=seed, count=50, size_limit=20).terms]
+    assert sum(isinstance(t, PPar) for t in terms) > 30 and any(isinstance(t, PRepl) for t in terms)
+    for term in terms:
+        pol = RenamingPolicy()
+        pol.scan(term)
+        n, p = default_mr_params(term, pol)
+        assert translate_mr(term, n, p, pol) is recursive_translate_mr(term, n, p, pol)
+
+
 def test_shared_policy_keeps_encodings_comparable():
     pol = RenamingPolicy()
     t1, t2 = pout("x", "y"), pout("y", "x")

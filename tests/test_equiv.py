@@ -537,6 +537,41 @@ def test_refinement_matches_the_closure_set_oracle(graph):
     assert weak_observations(states, edges, barbs.__getitem__) == union
 
 
+def _wide_graph() -> tuple:
+    """Two copies of a 200-state chain in which every state has its own barb,
+    every tenth state steps back five (a six-state cycle) and every seventh
+    jumps twenty ahead; in the second copy state 100 shows no barb.  Block
+    and barb sets run far past 64 members."""
+    edges, barbs = [], []
+    for copy in range(2):
+        off = len(edges)
+        for i in range(200):
+            row = [off + i + 1] if i < 199 else []
+            if i % 10 == 9:
+                row.append(off + i - 5)
+            if i % 7 == 0 and i < 180:
+                row.append(off + i + 20)
+            edges.append(row)
+            barbs.append(frozenset() if (copy, i) == (1, 100) else frozenset({("out", f"b{i}")}))
+    return edges, barbs
+
+
+def test_refinement_and_weak_barbs_wider_than_a_machine_word():
+    edges, barbs = _wide_graph()
+    n = len(edges)
+    states = list(range(n))
+    for weak in (False, True):
+        blocks = equiv._refine(states, edges, barbs.__getitem__, weak)[0]
+        assert blocks == oracles.reference_blocks(n, edges, barbs, weak)
+        assert 64 < len(set(blocks)) < n  # the copies share some blocks
+    reach = oracles.reference_reach(n, edges)
+    union = [frozenset().union(*(barbs[j] for j in reach[i])) for i in range(n)]
+    observed = weak_observations(states, edges, barbs.__getitem__)
+    assert observed == union and max(map(len, observed)) == 200
+    assert all(type(obs) is frozenset for obs in observed)
+    assert all(type(sig) is frozenset for sig in equiv._refine(states, edges, barbs.__getitem__, True)[1])
+
+
 def _record_closure_sets(monkeypatch) -> list:
     calls = []
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import rhopi
 from rhopi import equiv, harness, lts, piterm, rhoreduce, rhoterm
+from rhopi.encode import encode_mr, encode_ns
 from rhopi.piterm import (
     _PINTERN,
     PiMarker,
@@ -208,6 +209,65 @@ def test_quote_depth_invariant_under_name_equivalence():
     b = quote(lift(quote(drop(xn)), nil()))
     assert name_eq(a, b)
     assert quote_depth(a) == quote_depth(b)
+
+
+def recursive_quote_depth(x) -> int:
+    """quote_depth as the recursion that defines it, with no memo."""
+    cx = canon_name(x)
+    if isinstance(cx, BoundMarker):
+        return 0
+    return 1 + max((recursive_quote_depth(z) for z in free_names(cx.body)), default=0)
+
+
+def test_quote_depth_of_a_deep_tower_does_not_recurse():
+    # lincr leaves each level's canonical form memoised; only quote_depth's
+    # own table starts empty (canonicalising such a name cold still recurses)
+    x = NULL_NAME
+    for _ in range(2000):
+        x = lincr(x)
+    rhoterm._QDEPTH.clear()
+    assert quote_depth(x) == 2001
+    assert quote_depth_proc(par(lift(x, nil()), drop(lincr(NULL_NAME)))) == 2001
+
+
+def test_quote_depth_equals_the_recursive_form_on_encoded_names():
+    terms = harness.make_corpus(seed=1, count=20, size_limit=20).terms
+    states = [e.state for t in terms for e in (encode_ns(t), encode_mr(t))]
+    names = [x for s in states for x in free_names(s)]
+    names += [ncomp(lincr(xn), rincr(yn)), quote(par(drop(xn), lift(zn, drop(yn))))]
+    rhopi.clear_caches()
+    assert [quote_depth(x) for x in names] == [recursive_quote_depth(x) for x in names]
+    assert [quote_depth_proc(s) for s in states] == [
+        max(map(recursive_quote_depth, free_names(s)), default=0) for s in states
+    ]
+
+
+def recursive_show_proc(p) -> str:
+    """show_proc and show_name as one recursion that joins each parallel's
+    children, parenthesizing a parallel child."""
+    def name(x):
+        if isinstance(x, BoundMarker):
+            return f"y{x.index}"
+        return "@0" if isinstance(x.body, Nil) else f"@({recursive_show_proc(x.body)})"
+
+    if isinstance(p, Nil):
+        return "0"
+    if isinstance(p, Drop):
+        return f"*{name(p.name)}"
+    if isinstance(p, Lift):
+        return f"{name(p.subject)}!({recursive_show_proc(p.body)})"
+    if isinstance(p, Input):
+        body = recursive_show_proc(p.body)
+        return f"{name(p.subject)}?({name(p.binder)}).{f'({body})' if isinstance(p.body, Par) else body}"
+    return " | ".join(f"({recursive_show_proc(c)})" if isinstance(c, Par) else recursive_show_proc(c) for c in p.children)
+
+
+def test_printing_equals_the_recursive_form_on_encoded_terms():
+    terms = harness.make_corpus(seed=2, count=30, size_limit=20).terms
+    encodings = [e for t in terms for e in (encode_ns(t), encode_mr(t))]
+    procs = [p for e in encodings for p in (e.translation, e.state)]
+    assert sum(Par in map(type, p.children) for p in procs if isinstance(p, Par)) >= 10
+    assert [show_proc(p) for p in procs] == [recursive_show_proc(p) for p in procs]
 
 
 # ---------------------------------------------------------------------------
