@@ -95,9 +95,7 @@ from .rhoterm import (
     lincr,
     name_eq,
     ncomp,
-    ncomp_power,
     nil,
-    ns_member,
     par,
     peel,
     quote,
@@ -107,7 +105,6 @@ from .rhoterm import (
     show_name,
     show_proc,
     struct_eq,
-    subst_sem,
     subst_syn,
 )
 

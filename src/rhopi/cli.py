@@ -473,23 +473,11 @@ def _read_term_arg(arg: str, default_calculus: str) -> tuple:
 
 
 def _parse_restrict(spec: Optional[str], parse: Callable) -> Optional[list]:
-    """The names of a comma-separated list, split at top-level commas only
-    and each parsed with parse; None for no list, an error for an empty one."""
+    """The names of a comma-separated list (no name contains a comma), each
+    parsed with parse; None for no list, an error for an empty one."""
     if spec is None:
         return None
-    out, depth, cur = [], 0, []
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    names = [parse(s.strip()) for s in out if s.strip()]
+    names = [parse(s.strip()) for s in spec.split(",") if s.strip()]
     if not names:
         raise ParseError("--restrict lists no name", 1, 1)
     return names

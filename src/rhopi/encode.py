@@ -90,7 +90,6 @@ class RenamingPolicy:
 
     def __init__(self) -> None:
         self._map: dict = {}
-        self._order: list = []
         self._next = NULL_NAME
 
     def name_for(self, atom: str) -> RhoName:
@@ -98,16 +97,8 @@ class RenamingPolicy:
         if got is None:
             got = self._next
             self._map[atom] = got
-            self._order.append(atom)
             self._next = lincr(got)
         return got
-
-    def atom_for(self, name: RhoName) -> Optional[str]:
-        c = canon_name(name)
-        for atom, nm in self._map.items():
-            if nm is c:
-                return atom
-        return None
 
     def scan(self, term: PiTerm) -> None:
         """Assign names to every atom of term (free and binding) in
@@ -137,7 +128,7 @@ class RenamingPolicy:
         return frozenset(self._map.values())
 
     def known_atoms(self) -> tuple:
-        return tuple(self._order)
+        return tuple(self._map)
 
 
 # ---------------------------------------------------------------------------

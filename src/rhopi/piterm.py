@@ -332,7 +332,7 @@ def _simp(t: PiTerm) -> PiTerm:
     """Erase unused restrictions and give every restriction a scope that
     depends only on which parallel items use its name (never on how the
     restrictions were ordered or nested in the input), bottom-up, on a
-    uniquified named term."""
+    uniquified named term.  One pass reaches the fixed point."""
     if isinstance(t, (PNil, POut)):
         return t
     if isinstance(t, PIn):
@@ -453,12 +453,7 @@ def pi_canon(t: PiTerm) -> PiTerm:
     cached = _PI_CANON.get(t)
     if cached is not None:
         return cached
-    cur = named(t, "b")
-    prev = None
-    while cur is not prev:
-        prev = cur
-        cur = _simp(cur)
-    out = _mcanon(cur, ())
+    out = _mcanon(_simp(named(t, "b")), ())
     _PI_CANON[t] = out
     _PI_CANON[out] = out
     return out

@@ -40,8 +40,10 @@ one value; concurrent insertion is benign).
 
 Substitution never recurses into a quoted process: a name position whose
 whole name is equivalent to the target is replaced, anything strictly inside
-a quote is untouched.  The semantic variant additionally splices the payload
-process in place of a matching drop, which is what communication uses.
+a quote is untouched.  ``subst_syn`` replaces name positions only;
+``subst_marker``, which communication uses, replaces a consumed input's
+binder marker and also splices the payload process in place of a matching
+drop.
 """
 
 from __future__ import annotations
@@ -76,16 +78,13 @@ __all__ = [
     "name_eq",
     "free_names",
     "subst_syn",
-    "subst_sem",
     "quote_depth",
     "quote_depth_proc",
     "lincr",
     "rincr",
     "ncomp",
-    "ncomp_power",
     "NamespaceScheme",
     "peel",
-    "ns_member",
     "gen_fresh",
     "gen_fresh_sorted",
     "proc_size",
@@ -386,8 +385,6 @@ def name_eq(x: RhoName, y: RhoName) -> bool:
 # Free names, freshness
 # ---------------------------------------------------------------------------
 
-_FREE: dict = {}
-
 
 def free_names(p: RhoProc) -> frozenset:
     """Free names of p, as canonical names.
@@ -397,14 +394,9 @@ def free_names(p: RhoProc) -> frozenset:
     occurrences.  Bound occurrences (positions matching an enclosing binder)
     are excluded.
     """
-    cp = canon_proc(p)
-    cached = _FREE.get(cp)
-    if cached is None:
-        acc: set = set()
-        _collect_free(cp, acc)
-        cached = frozenset(acc)
-        _FREE[cp] = cached
-    return cached
+    acc: set = set()
+    _collect_free(canon_proc(p), acc)
+    return frozenset(acc)
 
 
 def _collect_free(p: RhoProc, acc: set) -> None:
@@ -475,18 +467,6 @@ def _splice_of(payload: RhoName) -> RhoProc:
     return c.body if isinstance(c, Quote) else drop(c)
 
 
-def subst_sem(p: RhoProc, payload: RhoName, old: RhoName) -> RhoProc:
-    """Semantic substitution of the quoted payload for old: like subst_syn on
-    name positions (which take the canonical payload name), and additionally
-    a drop of a matching name becomes the process under the payload's quote.
-    This is the substitution communication performs.  Returns a canonical
-    process."""
-    cp = canon_proc(p)
-    co = canon_name(old)
-    splice = _splice_of(payload)
-    return canon_proc(_replace(cp, co, canon_name(payload), splice))
-
-
 def subst_marker(body: RhoProc, payload: RhoName, level: int) -> RhoProc:
     """Semantic substitution for a binder marker (internal: communication on
     canonical forms, where the consumed input's binder is marker(level))."""
@@ -505,7 +485,6 @@ _QDEPTH: dict = {}
 DERIVED_CACHES = {
     "canon_proc": _CANON_PROC,
     "canon_name": _CANON_NAME,
-    "free_names": _FREE,
     "quote_depth": _QDEPTH,
 }
 
@@ -561,17 +540,6 @@ def ncomp(x: RhoName, y: RhoName) -> RhoName:
     return canon_name(quote(par(lift(x, _NIL_NODE), inp(y, NULL_NAME, _NIL_NODE))))
 
 
-def ncomp_power(x: RhoName, k: int) -> RhoName:
-    """k-fold composition of x with itself, left-associated
-    (x^2 = x.x, x^3 = (x^2).x, ...); k=1 gives x itself."""
-    if k < 1:
-        raise ValueError("composition power needs k >= 1")
-    out = canon_name(x)
-    for _ in range(k - 1):
-        out = ncomp(out, x)
-    return out
-
-
 class NamespaceScheme(Enum):
     """The three name-generation templates built from a root name."""
 
@@ -599,23 +567,6 @@ def peel(x: RhoName) -> Optional[tuple]:
     if not (isinstance(in_part, Input) and isinstance(in_part.body, Nil)):
         return None
     return (NamespaceScheme.COMPOSITION, (out_part.subject, in_part.subject))
-
-
-def ns_member(root: RhoName, scheme: NamespaceScheme, x: RhoName) -> bool:
-    """True when x lies in the namespace generated from root by iterating the
-    scheme's template (the root itself is a member).  For the composition
-    scheme both recursive positions must again be members, mirroring the
-    template grammar whose every hole is filled from the same root."""
-    croot = canon_name(root)
-    todo = [canon_name(x)]
-    while todo:
-        n = todo.pop()
-        if n is not croot:
-            got = peel(n)
-            if got is None or got[0] is not scheme:
-                return False
-            todo.extend(got[1])
-    return True
 
 
 def gen_fresh(avoid: Iterable[RhoName]) -> RhoName:

@@ -464,6 +464,40 @@ def _pi_rename(t, new: str, old: str):
     return ppar(*(_pi_rename(c, new, old) for c in t.children))
 
 
+@lru_cache(maxsize=None)
+def _pi_terms(size: int, scope: tuple) -> tuple:
+    """All pi terms of exactly this size over the atoms a and b and the
+    binders in scope, sized as ``random_pi_term`` sizes them (an output or 0
+    is one node, a parallel one node more than its sides, a replicated input
+    two more than its body).  Binder i is named ``v<i>``."""
+    from rhopi.piterm import pin, pnew, pnil, pout, ppar, prepl
+
+    if size < 1:
+        return ()
+    names = ("a", "b") + scope
+    out = []
+    if size == 1:
+        out.append(pnil())
+        out.extend(pout(s, o) for s in names for o in names)
+    inner = scope + (f"v{len(scope)}",)
+    for body in _pi_terms(size - 1, inner):
+        out.append(pnew(inner[-1], body))
+        out.extend(pin(s, inner[-1], body) for s in names)
+    for body in _pi_terms(size - 2, inner):
+        out.extend(prepl(pin(s, inner[-1], body)) for s in names)
+    for lsz in range(1, size - 1):
+        for left in _pi_terms(lsz, scope):
+            out.extend(ppar(left, right) for right in _pi_terms(size - 1 - lsz, scope))
+    return tuple(out)
+
+
+def enumerate_pi_terms(max_size: int) -> list:
+    out = []
+    for s in range(1, max_size + 1):
+        out.extend(_pi_terms(s, ()))
+    return out
+
+
 def reference_pi_step(t) -> list:
     """Canonical one-step reducts of a pi term, deduplicated, in the order
     ``pi_step`` lists them: name every binder of the canonical state apart,

@@ -1,9 +1,11 @@
 """Module layout: no module of the package uses another module's private
 names (a leading underscore), whether it imports them, at top level or
 inside a function, or reads them as attributes of an imported module; what
-one module needs from another is part of that module's public surface."""
+one module needs from another is part of that module's public surface; and
+every name a module exports in ``__all__`` is one it defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rhopi"
@@ -66,3 +68,13 @@ def test_no_module_reads_a_private_attribute_of_another():
     assert modules
     offences = [hit for path in modules for hit in private_attribute_reads(path)]
     assert offences == []
+
+
+def test_every_export_names_an_attribute_of_its_module():
+    exported = 0
+    for stem in sorted(MODULES):
+        module = importlib.import_module("rhopi" if stem == "__init__" else f"rhopi.{stem}")
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        assert [n for n in names if not hasattr(module, n)] == [], stem
+    assert exported

@@ -11,11 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhopi
-from oracles import reference_pi_barbs, reference_pi_free_names, reference_pi_step
+from oracles import (
+    enumerate_pi_terms,
+    reference_pi_barbs,
+    reference_pi_free_names,
+    reference_pi_step,
+)
 from rhopi.cli import parse_pi
 from rhopi.harness import make_corpus, random_pi_term
 from rhopi.lts import explore
 from rhopi.piterm import (
+    _mcanon,
+    _simp,
     named,
     pi_barbs,
     pi_canon,
@@ -384,6 +391,47 @@ def test_clearing_caches_mid_exploration_keeps_the_graph():
     assert len(warm.states) == 24
     assert cold.states == warm.states
     assert cold.edges == warm.edges
+
+
+# ---------------------------------------------------------------------------
+# One simplification pass reaches the fixed point
+# ---------------------------------------------------------------------------
+
+
+def reference_pi_canon(t):
+    """Canonical form by simplifying the named term until a pass changes
+    nothing, then the final canonical pass."""
+    cur, prev = named(t, "b"), None
+    while cur is not prev:
+        prev, cur = cur, _simp(cur)
+    return _mcanon(cur, ())
+
+
+def ring(binders: str, order) -> str:
+    """new-blocks over a ring x0!x1 | x1!x2 | ... | xn!x0 beside a free
+    output, the restrictions written in order."""
+    chain = " | ".join(f"{x}!{y}" for x, y in zip(binders, binders[1:] + binders[0]))
+    return "".join(f"new {x}." for x in order) + f"({chain} | k!{binders[0]})"
+
+
+def test_one_simplification_pass_equals_the_fixed_point():
+    terms = [
+        t for seed in (1, 2) for t in make_corpus(seed=seed, count=100, size_limit=20).terms
+    ]
+    terms += enumerate_pi_terms(4)
+    # reachable states are canonical, and pi_canon keeps them as their own
+    # forms: canonicalize them again from their named forms
+    terms += [named(s) for s in reachable(*terms)]
+    rng = random.Random(7)
+    for binders in ("abcdefg", "abcdefgh"):
+        orders = [binders, binders[::-1]] + [rng.sample(binders, len(binders)) for _ in range(6)]
+        for order in orders:
+            text = ring(binders, order)
+            terms += [parse_pi(text), parse_pi(f"({text}) | ({ring(binders, binders)})")]
+    assert len(terms) > 5000
+    rhopi.clear_caches()
+    for t in terms:
+        assert pi_canon(t) is reference_pi_canon(t), show_pi(t)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,7 @@ from rhopi.rhoterm import (
     marker,
     name_eq,
     ncomp,
-    ncomp_power,
     nil,
-    ns_member,
     par,
     peel,
     proc_size,
@@ -68,7 +66,6 @@ from rhopi.rhoterm import (
     rincr,
     show_proc,
     struct_eq,
-    subst_sem,
     subst_syn,
 )
 
@@ -174,23 +171,6 @@ def test_substitution_never_rewrites_under_a_quote():
     assert struct_eq(q, lift(lincr(xn), drop(yn)))
 
 
-def test_semantic_substitution_splices_the_payload_as_written():
-    # a drop of the placeholder becomes the process under the payload quote —
-    # for payload @(*s) that is *s itself, not s's own body
-    payload = quote(drop(zn))
-    spliced = subst_sem(drop(xn), payload, xn)
-    assert struct_eq(spliced, drop(zn))
-    # name positions take the collapsed payload name instead
-    renamed = subst_sem(lift(xn, nil()), payload, xn)
-    assert struct_eq(renamed, lift(zn, nil()))
-
-
-def test_semantic_substitution_matches_equivalent_names():
-    alias = quote(drop(xn))  # equivalent to xn
-    out = subst_sem(lift(alias, nil()), quote(nil()), xn)
-    assert struct_eq(out, lift(NULL_NAME, nil()))
-
-
 # ---------------------------------------------------------------------------
 # Quote depth
 # ---------------------------------------------------------------------------
@@ -281,24 +261,6 @@ def test_increment_combinators_build_distinct_towers():
         for b in tower[i + 1 :]:
             assert not name_eq(a, b)
     assert quote_depth(lincr(lincr(xn))) == quote_depth(xn) + 2
-
-
-def test_namespace_membership_left_and_right():
-    s = yn
-    for member in (s, lincr(s), lincr(lincr(s))):
-        assert ns_member(s, NamespaceScheme.LEFT_INCREMENT, member)
-    assert not ns_member(s, NamespaceScheme.LEFT_INCREMENT, rincr(s))
-    assert ns_member(s, NamespaceScheme.RIGHT_INCREMENT, rincr(rincr(s)))
-    assert not ns_member(s, NamespaceScheme.RIGHT_INCREMENT, lincr(s))
-
-
-def test_namespace_membership_composition():
-    s = yn
-    assert ns_member(s, NamespaceScheme.COMPOSITION, ncomp(s, s))
-    assert ns_member(s, NamespaceScheme.COMPOSITION, ncomp(ncomp(s, s), s))
-    assert not ns_member(s, NamespaceScheme.COMPOSITION, ncomp(s, zn))
-    for k in (1, 2, 3):
-        assert ns_member(s, NamespaceScheme.COMPOSITION, ncomp_power(s, k))
 
 
 def test_peel_undoes_one_template():
